@@ -64,8 +64,21 @@ def _family(doc, name):
 def _point(text: str):
     parts = text.split(",")
     if len(parts) != 2:
-        raise SemilinError(f"bad point {text!r}; want 'x,y'")
+        raise ValueError(f"bad point {text!r}; want 'x,y'")
     return (parse_rat(parts[0]), parse_rat(parts[1]))
+
+
+def _usage(parse):
+    """An argparse type: a value that parse rejects is a usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_RAT, _SLOPE, _POINT = _usage(parse_rat), _usage(as_slope), _usage(_point)
 
 
 def _cmd_normalize(args, doc):
@@ -78,8 +91,7 @@ def _cmd_boolop(args, doc):
 
 
 def _cmd_affine(args, doc):
-    return {"result": iv.affine_op(_set(doc, args.x),
-                                   parse_rat(args.q), parse_rat(args.a))}
+    return {"result": iv.affine_op(_set(doc, args.x), args.q, args.a)}
 
 
 def _cmd_endpoints(args, doc):
@@ -137,8 +149,8 @@ def _cmd_pc_boolop(args, doc):
 
 
 def _cmd_pc_affine(args, doc):
-    shift = (parse_rat(args.dx), parse_rat(args.dy))
-    return {"result": planar.pc_affine(_pc(doc, args.x), shift, args.swap)}
+    return {"result": planar.pc_affine(_pc(doc, args.x), (args.dx, args.dy),
+                                       args.swap)}
 
 
 def _cmd_pc_boundedness(args, doc):
@@ -150,9 +162,8 @@ def _cmd_pc_topo(args, doc):
 
 
 def _cmd_pc_section(args, doc):
-    return {"result": planar.pc_section(_pc(doc, args.x),
-                                        as_slope(args.slope),
-                                        parse_rat(args.offset))}
+    return {"result": planar.pc_section(_pc(doc, args.x), args.slope,
+                                        args.offset)}
 
 
 def _cmd_pc_project(args, doc):
@@ -165,7 +176,7 @@ def _cmd_pc_affine_part(args, doc):
 
 def _cmd_pc_germ(args, doc):
     return {"result": record_flag(planar.germ_equal(
-        _pc(doc, args.x), _point(args.p), _point(args.q)))}
+        _pc(doc, args.x), args.p, args.q))}
 
 
 def _cmd_pc_stab(args, doc):
@@ -177,7 +188,7 @@ def _cmd_pc_decompose(args, doc):
 
 
 def _cmd_fiber(args, doc):
-    return {"result": fiber(_family(doc, args.family), parse_rat(args.t))}
+    return {"result": fiber(_family(doc, args.family), args.t)}
 
 
 def _cmd_bounded_params(args, doc):
@@ -194,7 +205,7 @@ def _cmd_uniform_bound(args, doc):
 
 
 def _cmd_match_endpoints(args, doc):
-    pairs = match_endpoints(_family(doc, args.family), parse_rat(args.t))
+    pairs = match_endpoints(_family(doc, args.family), args.t)
     return {"result": record_pairs(pairs)}
 
 
@@ -246,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("affine", _cmd_affine, help="image under x -> q*x + a")
     p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--a", required=True)
+    p.add_argument("--q", required=True, type=_RAT)
+    p.add_argument("--a", required=True, type=_RAT)
 
     p = cmd("endpoints", _cmd_endpoints, help="finite component endpoints")
     p.add_argument("--x", "--set", dest="x", required=True)
@@ -291,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("pc-affine", _cmd_pc_affine, help="translate and/or swap coordinates")
     p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--dx", default="0")
-    p.add_argument("--dy", default="0")
+    p.add_argument("--dx", default="0", type=_RAT)
+    p.add_argument("--dy", default="0", type=_RAT)
     p.add_argument("--swap", action="store_true")
 
     p = cmd("pc-boundedness", _cmd_pc_boundedness, help="bounded in the plane?")
@@ -304,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("pc-section", _cmd_pc_section, help="pull back along a line")
     p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--slope", required=True, help="rational or 'vertical'")
-    p.add_argument("--offset", required=True)
+    p.add_argument("--slope", required=True, type=_SLOPE,
+                   help="rational or 'vertical'")
+    p.add_argument("--offset", required=True, type=_RAT)
 
     p = cmd("pc-project", _cmd_pc_project, help="coordinate projection")
     p.add_argument("--x", "--set", dest="x", required=True)
@@ -317,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("pc-germ", _cmd_pc_germ, help="compare local germs at two points")
     p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--p", required=True, help="point as 'x,y'")
-    p.add_argument("--q", required=True, help="point as 'x,y'")
+    p.add_argument("--p", required=True, type=_POINT, help="point as 'x,y'")
+    p.add_argument("--q", required=True, type=_POINT, help="point as 'x,y'")
 
     p = cmd("pc-stab", _cmd_pc_stab, help="bounded-difference stabilizer")
     p.add_argument("--x", "--set", dest="x", required=True)
@@ -329,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("fiber", _cmd_fiber, help="evaluate a family fiber")
     p.add_argument("--family", required=True)
-    p.add_argument("--t", required=True)
+    p.add_argument("--t", required=True, type=_RAT)
 
     p = cmd("bounded-params", _cmd_bounded_params,
             help="parameters with bounded fiber")
@@ -347,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("match-endpoints", _cmd_match_endpoints,
             help="pair left endpoints with right endpoints")
     p.add_argument("--family", required=True)
-    p.add_argument("--t", required=True)
+    p.add_argument("--t", required=True, type=_RAT)
 
     p = cmd("classify", _cmd_classify, help="reduct lattice verdict")
     p.add_argument("--all", action="store_true")

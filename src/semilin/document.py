@@ -401,6 +401,8 @@ def parse_document(text: str) -> Document:
         raw = json.loads(text, object_pairs_hook=_no_duplicates)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("document nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     _expect_keys(raw, {"version", "objects"}, what="document")

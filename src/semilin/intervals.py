@@ -7,9 +7,11 @@ All operations are exact and return normalized values.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import NoIsolatingShift, PreconditionError
 from .rat import Ext, NEG_INF, POS_INF, Rat, as_ext, as_rat, fmt_ext, is_finite
@@ -90,21 +92,6 @@ class Interval:
 FULL_LINE = Interval(NEG_INF, POS_INF)
 
 
-def _mergeable(a: Interval, b: Interval) -> bool:
-    # a sorted before b: they overlap, or touch with one side closed
-    if b.lo < a.hi:
-        return True
-    return b.lo == a.hi and (a.hi_closed or b.lo_closed)
-
-
-def _merge(a: Interval, b: Interval) -> Interval:
-    if (b.hi, b.hi_closed) > (a.hi, a.hi_closed):
-        hi, hi_closed = b.hi, b.hi_closed
-    else:
-        hi, hi_closed = a.hi, a.hi_closed
-    return Interval(a.lo, hi, a.lo_closed, hi_closed)
-
-
 @dataclass(frozen=True)
 class IntervalUnion:
     """A finite union of disjoint, sorted, non-mergeable intervals."""
@@ -132,7 +119,10 @@ class IntervalUnion:
         return self.parts[-1].hi if self.parts else NEG_INF
 
     def contains(self, x) -> bool:
-        return any(p.contains(x) for p in self.parts)
+        # only the last part starting at or before x can hold it
+        x = as_rat(x)
+        i = bisect_right(self.parts, x, key=lambda p: p.lo)
+        return i > 0 and self.parts[i - 1].contains(x)
 
     def __or__(self, other: "IntervalUnion") -> "IntervalUnion":
         return union(self, other)
@@ -165,14 +155,56 @@ def normalize(raw: Iterable[Interval]) -> IntervalUnion:
     Idempotent and insensitive to the input order; overlapping or
     closure-touching intervals are merged.
     """
-    items = sorted(raw, key=lambda p: (p.lo, not p.lo_closed))
-    parts: List[Interval] = []
-    for item in items:
-        if parts and _mergeable(parts[-1], item):
-            parts[-1] = _merge(parts[-1], item)
-        else:
-            parts.append(item)
-    return IntervalUnion(tuple(parts))
+    return _sweep(raw, (), operator.or_)
+
+
+def _sweep(xs: Iterable[Interval], ys: Iterable[Interval],
+           keep: Callable[[bool, bool], bool]) -> IntervalUnion:
+    """The points t with keep(t in xs, t in ys), in one merge sweep.
+
+    Each end of a part, infinite ones included, is an event changing the
+    count of parts that hold its value and the open gap after it.
+    Canonical part lists give sorted events, so the sort merges two runs in
+    linear time (raw input to normalize gets a full sort).  The maximal
+    runs where keep() holds are emitted, so the result is canonical.
+    keep(False, False) must be False.
+    """
+    events = []
+    for k, parts in enumerate((xs, ys)):
+        for p in parts:
+            events.append((p.lo, k, p.lo_closed, 1, p))
+            events.append((p.hi, k, p.hi_closed - 1, -1, p))
+    events.sort(key=operator.itemgetter(0))
+    # parts of xs and of ys holding the event value, and the gap after it
+    here, gap = [0, 0], [0, 0]
+    inside, lo, lo_closed, out = False, NEG_INF, False, []
+    end = FULL_LINE  # the part that ended last; a run equal to it reuses it
+    for i, (v, k, d_here, d_gap, p) in enumerate(events, 1):
+        here[k] += d_here
+        gap[k] += d_gap
+        if d_gap < 0:
+            end = p
+        if i < len(events) and (events[i][0] is v or events[i][0] == v):
+            continue
+        # a run that opens or closes at v holds v exactly when keep() does
+        at = keep(here[0] > 0, here[1] > 0)
+        for now in (at, keep(gap[0] > 0, gap[1] > 0)):
+            if now == inside:
+                continue
+            if not inside:
+                lo, lo_closed = v, at
+            elif (end.lo_closed == lo_closed and end.hi_closed == at
+                  and (end.lo is lo or end.lo == lo)
+                  and (end.hi is v or end.hi == v)):
+                out.append(end)
+            else:
+                out.append(Interval(lo, v, lo_closed, at))
+            inside = now
+        here = gap[:]
+    return IntervalUnion(tuple(out))
+
+
+_AND_NOT = operator.gt  # on booleans, a > b is a and not b
 
 
 def points(values: Iterable) -> IntervalUnion:
@@ -180,60 +212,23 @@ def points(values: Iterable) -> IntervalUnion:
 
 
 def union(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
-    return normalize(x.parts + y.parts)
-
-
-def complement(x: IntervalUnion) -> IntervalUnion:
-    parts: List[Interval] = []
-    lo: Ext = NEG_INF
-    lo_closed = False
-    for p in x.parts:
-        if lo < p.lo or (lo == p.lo and lo_closed and not p.lo_closed):
-            parts.append(Interval(lo, p.lo, lo_closed, not p.lo_closed))
-        lo, lo_closed = p.hi, not p.hi_closed
-    if lo < POS_INF:
-        parts.append(Interval(lo, POS_INF, lo_closed, False))
-    return IntervalUnion(tuple(parts))
-
-
-def _intersect_parts(a: Interval, b: Interval) -> Optional[Interval]:
-    if a.lo > b.lo:
-        lo, lo_closed = a.lo, a.lo_closed
-    elif b.lo > a.lo:
-        lo, lo_closed = b.lo, b.lo_closed
-    else:
-        lo, lo_closed = a.lo, a.lo_closed and b.lo_closed
-    if a.hi < b.hi:
-        hi, hi_closed = a.hi, a.hi_closed
-    elif b.hi < a.hi:
-        hi, hi_closed = b.hi, b.hi_closed
-    else:
-        hi, hi_closed = a.hi, a.hi_closed and b.hi_closed
-    if lo > hi:
-        return None
-    if lo == hi and not (lo_closed and hi_closed):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)
+    return _sweep(x.parts, y.parts, operator.or_)
 
 
 def intersect(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
-    pieces = []
-    for a in x.parts:
-        for b in y.parts:
-            if b.lo > a.hi:
-                break
-            r = _intersect_parts(a, b)
-            if r is not None:
-                pieces.append(r)
-    return normalize(pieces)
+    return _sweep(x.parts, y.parts, operator.and_)
 
 
 def difference(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
-    return intersect(x, complement(y))
+    return _sweep(x.parts, y.parts, _AND_NOT)
 
 
 def symmdiff(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
-    return union(difference(x, y), difference(y, x))
+    return _sweep(x.parts, y.parts, operator.xor)
+
+
+def complement(x: IntervalUnion) -> IntervalUnion:
+    return _sweep(FULL.parts, x.parts, _AND_NOT)
 
 
 _BOOL_OPS = {

@@ -104,6 +104,40 @@ def test_exit_code_usage_error():
     assert main(["no-such-command"]) == 1
 
 
+def test_deeply_nested_document_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    out = tmp_path / "out.json"
+    code = main(["normalize", "--x", "X", "-i", str(deep), "-o", str(out)])
+    assert code == 1
+    record = json.loads(out.read_text())
+    assert record["objects"]["error"]["tag"] == "malformed-document"
+
+
+BAD_FLAGS = {
+    "affine-q": ["affine", "--x", "X", "--q", "abc", "--a", "0"],
+    "affine-a": ["affine", "--x", "X", "--q", "1", "--a", "1/0"],
+    "pc-affine-dx": ["pc-affine", "--x", "X", "--dx", "1.5"],
+    "pc-section-slope": ["pc-section", "--x", "X", "--slope", "steep",
+                         "--offset", "0"],
+    "pc-section-offset": ["pc-section", "--x", "X", "--slope", "vertical",
+                          "--offset", "x"],
+    "pc-germ-p": ["pc-germ", "--x", "X", "--p", "1", "--q", "0,0"],
+    "pc-germ-q": ["pc-germ", "--x", "X", "--p", "0,0", "--q", "0,y"],
+    "fiber-t": ["fiber", "--family", "F", "--t", "t"],
+    "match-endpoints-t": ["match-endpoints", "--family", "F", "--t", "1/2/3"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_malformed_flag_value_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = main(argv + ["-i", str(GOLDEN / "witness.in.json"), "-o", str(out)])
+    assert code == 1
+    assert "error: argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     code = main(["--version"])
     assert code == 0
