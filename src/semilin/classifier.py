@@ -18,7 +18,7 @@ from .errors import SemilinError
 from .intervals import FULL_LINE, IntervalUnion, SetClass, boundedness
 from .planar import (Carrier, PlanarComplex, Slope,VERTICAL, carrier_of,
                      decompose, pc_bool_op, pc_boundedness, pc_normalize,
-                     pc_section, _view)
+                     pc_section, _group)
 from .rat import Rat
 from .synthesis import derive_ray
 from .trace import Trace, TraceStep, compose, replay
@@ -81,7 +81,7 @@ def is_affine_combo(x: Value) -> Optional[LinForm]:
         if all(p.is_point for p in co.parts):
             return LinForm1D(True, tuple(p.lo for p in co.parts))
         return None
-    view = _view(x)
+    view = _group(x.cells)
     lines = []
     for carrier in sorted(view.carriers, key=Carrier.sort_key):
         co = iv.complement(view.carriers[carrier])
@@ -97,25 +97,28 @@ def sb_certificate(x: Value) -> Optional[Value]:
     """A baseline A (a boolean combination of full affine lines) with
     x symdiff A bounded, or None when no such baseline exists."""
     if isinstance(x, IntervalUnion):
-        report = boundedness(x)
-        if report.kind is SetClass.BOTH_UNBOUNDED:
+        kind = boundedness(x).kind
+        if kind is SetClass.BOTH_UNBOUNDED:
             return None
-        if report.kind is SetClass.BOUNDED:
-            return iv.EMPTY
-        if report.kind is SetClass.COBOUNDED:
-            return iv.FULL
-        return iv.EMPTY if x.is_empty else iv.FULL
-    dec = decompose(x)
-    if dec.unresolved:
-        return None
-    cells = []
-    for slope, shifts in dec.graphs:
-        for d in shifts:
-            cells.append(Carrier(slope, d).full_line_cell())
-    for d in dec.verticals:
-        cells.append(Carrier(VERTICAL, d).full_line_cell())
-    baseline = pc_normalize(cells)
-    if not pc_boundedness(pc_bool_op("symmdiff", x, baseline)):
+        if kind is SetClass.DEGENERATE:
+            baseline = iv.EMPTY if x.is_empty else iv.FULL
+        else:
+            baseline = iv.EMPTY if kind is SetClass.BOUNDED else iv.FULL
+        bounded = iv.symmdiff(x, baseline).is_bounded
+    else:
+        dec = decompose(x)
+        if dec.unresolved:
+            return None
+        cells = []
+        for slope, shifts in dec.graphs:
+            for d in shifts:
+                cells.append(Carrier(slope, d).full_line_cell())
+        for d in dec.verticals:
+            cells.append(Carrier(VERTICAL, d).full_line_cell())
+        baseline = pc_normalize(cells)
+        bounded = pc_boundedness(pc_bool_op("symmdiff", x, baseline))
+    # the only check of this certificate; classify relies on it
+    if not bounded:
         raise SemilinError("baseline verification failed")
     return baseline
 
@@ -174,13 +177,6 @@ def classify(generators: Mapping[str, Value]) -> Verdict:
         return Verdict(Level.LIN, lin_forms=tuple(forms))
     certs = [(name, sb_certificate(v)) for name, v in items]
     if all(cert is not None for _, cert in certs):
-        for (name, cert), (_, value) in zip(certs, items):
-            diff = (iv.symmdiff(value, cert) if isinstance(value, IntervalUnion)
-                    else pc_bool_op("symmdiff", value, cert))
-            bounded = diff.is_bounded if isinstance(diff, IntervalUnion) \
-                else pc_boundedness(diff)
-            if not bounded:
-                raise SemilinError(f"baseline for {name!r} is not bounded-close")
         return Verdict(Level.LIN_STAR, baselines=tuple(certs))
     name, value = next((n, v) for (n, c), (_, v) in zip(certs, items)
                        if c is None)

@@ -3,6 +3,9 @@
 Reads a document of named objects, runs one operation, and writes a
 canonical output document.  Exit codes: 0 success, 1 parse errors,
 2 contract errors (with a machine-readable error record).
+
+Each command is one entry of ``COMMANDS``, which drives parsing, the
+fetching and type-checking of named objects, and the output names.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 from . import __version__
 from . import intervals as iv
@@ -41,24 +45,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fetch(doc: Document, name: str, kind, what: str):
+    if name is None:  # an optional flag left out
+        return None
     if name not in doc.objects:
         raise SemilinError(f"unknown name {name!r}")
     obj = doc.objects[name]
     if not isinstance(obj, kind):
         raise SemilinError(f"{name!r} is not a {what}")
     return obj
-
-
-def _set(doc, name):
-    return _fetch(doc, name, IntervalUnion, "one-dimensional set")
-
-
-def _pc(doc, name):
-    return _fetch(doc, name, PlanarComplex, "planar complex")
-
-
-def _family(doc, name):
-    return _fetch(doc, name, Family, "family")
 
 
 def _point(text: str):
@@ -81,149 +75,139 @@ def _usage(parse):
 _RAT, _SLOPE, _POINT = _usage(parse_rat), _usage(as_slope), _usage(_point)
 
 
-def _cmd_normalize(args, doc):
-    return {"result": _set(doc, args.x)}
+def _flag(*names, kind=None, **options):
+    """A subcommand flag: (names, kind, argparse options).  For a flag that
+    names a document object, kind is the object's class and the word error
+    messages use for it; otherwise it is None."""
+    options.setdefault("dest", names[0].lstrip("-"))
+    return names, kind, options
 
 
-def _cmd_boolop(args, doc):
-    y = _set(doc, args.y) if args.y is not None else None
-    return {"result": iv.bool_op(args.kind, _set(doc, args.x), y)}
+_SET = (IntervalUnion, "one-dimensional set")
+_PLANAR = (PlanarComplex, "planar complex")
+_X = _flag("--x", "--set", required=True, kind=_SET)
+_PX = _flag("--x", "--set", required=True, kind=_PLANAR)
+_FAMILY = _flag("--family", required=True, kind=(Family, "family"))
+_SIDE = _flag("--side", required=True, choices=["left", "right"])
 
 
-def _cmd_affine(args, doc):
-    return {"result": iv.affine_op(_set(doc, args.x), args.q, args.a)}
+def _kind(*choices):
+    return _flag("--kind", required=True, choices=list(choices))
 
 
-def _cmd_endpoints(args, doc):
-    return {"result": record_rats(iv.endpoints(_set(doc, args.x), args.side))}
+def _rat(name: str):
+    return _flag(name, required=True, type=_RAT)
 
 
-def _cmd_boundedness(args, doc):
-    return {"result": iv.boundedness(_set(doc, args.x))}
+class Command(NamedTuple):
+    name: str
+    help: str
+    flags: Sequence[tuple]
+    # called with the parsed arguments (the document as ``doc``) and, in
+    # flag order, the objects the flags name.  It looks library functions
+    # up by name when it runs, so a rebound module global sees every call.
+    handler: Callable
+    outputs: Tuple[str, ...] = ("result",)
 
 
-def _cmd_topo(args, doc):
-    return {"result": iv.topo_op(_set(doc, args.x), args.kind)}
-
-
-def _cmd_metrics(args, doc):
-    return {"result": iv.metrics(_set(doc, args.x))}
-
-
-def _cmd_isolate(args, doc):
-    return {"result": iv.isolate_interval(_set(doc, args.x))}
-
-
-def _cmd_classify1d(args, doc):
-    return {"result": iv.classify_one_dim(_set(doc, args.x))}
-
-
-def _cmd_derive_ray(args, doc):
-    ray, trace = derive_ray(_set(doc, args.x), name=args.x)
-    return {"ray": ray, "trace": trace}
-
-
-def _cmd_derive_interval(args, doc):
-    single, trace = derive_interval(_set(doc, args.x), name=args.x)
-    return {"interval": IntervalUnion((single,)), "trace": trace}
-
-
-def _cmd_replay(args, doc):
-    trace = _fetch(doc, args.trace, Trace, "trace")
-    env = {}
-    for name in trace.generators:
-        obj = doc.objects.get(name)
+def _sets(doc: Document, names) -> dict:
+    gens = {name: doc.objects.get(name) for name in names}
+    for name, obj in gens.items():
         if not isinstance(obj, (IntervalUnion, PlanarComplex)):
             raise SemilinError(f"generator {name!r} missing or not a set")
-        env[name] = obj
-    return {"result": replay(trace, env)}
+    return gens
 
 
-def _cmd_pc_normalize(args, doc):
-    return {"result": _pc(doc, args.x)}
-
-
-def _cmd_pc_boolop(args, doc):
-    return {"result": planar.pc_bool_op(args.kind, _pc(doc, args.x),
-                                        _pc(doc, args.y))}
-
-
-def _cmd_pc_affine(args, doc):
-    return {"result": planar.pc_affine(_pc(doc, args.x), (args.dx, args.dy),
-                                       args.swap)}
-
-
-def _cmd_pc_boundedness(args, doc):
-    return {"result": record_flag(planar.pc_boundedness(_pc(doc, args.x)))}
-
-
-def _cmd_pc_topo(args, doc):
-    return {"result": planar.pc_topo(_pc(doc, args.x), args.kind)}
-
-
-def _cmd_pc_section(args, doc):
-    return {"result": planar.pc_section(_pc(doc, args.x), args.slope,
-                                        args.offset)}
-
-
-def _cmd_pc_project(args, doc):
-    return {"result": planar.pc_project(_pc(doc, args.x), args.axis)}
-
-
-def _cmd_pc_affine_part(args, doc):
-    return {"result": planar.affine_part(_pc(doc, args.x))}
-
-
-def _cmd_pc_germ(args, doc):
-    return {"result": record_flag(planar.germ_equal(
-        _pc(doc, args.x), args.p, args.q))}
-
-
-def _cmd_pc_stab(args, doc):
-    return {"result": planar.stab_bd(_pc(doc, args.x))}
-
-
-def _cmd_pc_decompose(args, doc):
-    return {"result": planar.decompose(_pc(doc, args.x))}
-
-
-def _cmd_fiber(args, doc):
-    return {"result": fiber(_family(doc, args.family), args.t)}
-
-
-def _cmd_bounded_params(args, doc):
-    return {"result": bounded_params(_family(doc, args.family))}
-
-
-def _cmd_endpoint_family(args, doc):
-    return {"result": endpoint_family(_family(doc, args.family), args.side)}
-
-
-def _cmd_uniform_bound(args, doc):
-    return {"result": record_extended(
-        uniform_length_bound(_family(doc, args.family)))}
-
-
-def _cmd_match_endpoints(args, doc):
-    pairs = match_endpoints(_family(doc, args.family), args.t)
-    return {"result": record_pairs(pairs)}
-
-
-def _cmd_classify(args, doc):
-    if args.gen:
-        names = args.gen
-    elif args.all:
-        names = [n for n, o in doc.objects.items()
-                 if isinstance(o, (IntervalUnion, PlanarComplex))]
-    else:
+def _classify(a):
+    if not (a.gen or a.all):
         raise SemilinError("classify needs --all or --gen")
-    gens = {}
-    for name in names:
-        obj = doc.objects.get(name)
-        if not isinstance(obj, (IntervalUnion, PlanarComplex)):
-            raise SemilinError(f"generator {name!r} missing or not a set")
-        gens[name] = obj
-    return {"result": classify(gens)}
+    names = a.gen or [n for n, o in a.doc.objects.items()
+                      if isinstance(o, (IntervalUnion, PlanarComplex))]
+    return classify(_sets(a.doc, names))
+
+
+def _derive_interval(a, x):
+    single, trace = derive_interval(x, name=a.x)
+    return IntervalUnion((single,)), trace
+
+
+COMMANDS = [
+    Command("normalize", "canonical form of a 1-D set", [_X], lambda a, x: x),
+    Command("boolop", "boolean operation on 1-D sets",
+            [_kind("union", "intersect", "difference", "symmdiff",
+                   "complement"), _X, _flag("--y", kind=_SET)],
+            lambda a, x, y: iv.bool_op(a.kind, x, y)),
+    Command("affine", "image under x -> q*x + a",
+            [_X, _rat("--q"), _rat("--a")],
+            lambda a, x: iv.affine_op(x, a.q, a.a)),
+    Command("endpoints", "finite component endpoints", [_X, _SIDE],
+            lambda a, x: record_rats(iv.endpoints(x, a.side))),
+    Command("boundedness", "boundedness class", [_X],
+            lambda a, x: iv.boundedness(x)),
+    Command("topo", "closure, interior or frontier",
+            [_X, _kind("closure", "interior", "frontier")],
+            lambda a, x: iv.topo_op(x, a.kind)),
+    Command("metrics", "component length and diameter", [_X],
+            lambda a, x: iv.metrics(x)),
+    Command("isolate", "shift isolating one component", [_X],
+            lambda a, x: iv.isolate_interval(x)),
+    Command("classify1d", "1-D trichotomy class", [_X],
+            lambda a, x: iv.classify_one_dim(x)),
+    Command("derive-ray", "synthesize a ray with trace", [_X],
+            lambda a, x: derive_ray(x, name=a.x), ("ray", "trace")),
+    Command("derive-interval", "synthesize a single interval with trace",
+            [_X], _derive_interval, ("interval", "trace")),
+    Command("replay", "replay a trace on the document's sets",
+            [_flag("--trace", required=True, kind=(Trace, "trace"))],
+            lambda a, tr: replay(tr, _sets(a.doc, tr.generators))),
+    Command("pc-normalize", "canonical planar form", [_PX], lambda a, x: x),
+    Command("pc-boolop", "boolean operation in the plane",
+            [_kind("union", "intersect", "difference", "symmdiff"), _PX,
+             _flag("--y", required=True, kind=_PLANAR)],
+            lambda a, x, y: planar.pc_bool_op(a.kind, x, y)),
+    Command("pc-affine", "translate and/or swap coordinates",
+            [_PX, _flag("--dx", default="0", type=_RAT),
+             _flag("--dy", default="0", type=_RAT),
+             _flag("--swap", action="store_true")],
+            lambda a, x: planar.pc_affine(x, (a.dx, a.dy), a.swap)),
+    Command("pc-boundedness", "bounded in the plane?", [_PX],
+            lambda a, x: record_flag(planar.pc_boundedness(x))),
+    Command("pc-topo", "planar closure or frontier",
+            [_PX, _kind("closure", "frontier")],
+            lambda a, x: planar.pc_topo(x, a.kind)),
+    Command("pc-section", "pull back along a line",
+            [_PX, _flag("--slope", required=True, type=_SLOPE,
+                       help="rational or 'vertical'"), _rat("--offset")],
+            lambda a, x: planar.pc_section(x, a.slope, a.offset)),
+    Command("pc-project", "coordinate projection",
+            [_PX, _flag("--axis", required=True, type=int, choices=[1, 2])],
+            lambda a, x: planar.pc_project(x, a.axis)),
+    Command("pc-affine-part", "locally affine points of a planar set", [_PX],
+            lambda a, x: planar.affine_part(x)),
+    Command("pc-germ", "compare local germs at two points",
+            [_PX] + [_flag(n, required=True, type=_POINT,
+                           help="point as 'x,y'") for n in ("--p", "--q")],
+            lambda a, x: record_flag(planar.germ_equal(x, a.p, a.q))),
+    Command("pc-stab", "bounded-difference stabilizer", [_PX],
+            lambda a, x: planar.stab_bd(x)),
+    Command("pc-decompose",
+            "structure as co-bounded lines plus bounded residue", [_PX],
+            lambda a, x: planar.decompose(x)),
+    Command("fiber", "evaluate a family fiber", [_FAMILY, _rat("--t")],
+            lambda a, f: fiber(f, a.t)),
+    Command("bounded-params", "parameters with bounded fiber", [_FAMILY],
+            lambda a, f: bounded_params(f)),
+    Command("endpoint-family", "family of fiber endpoints", [_FAMILY, _SIDE],
+            lambda a, f: endpoint_family(f, a.side)),
+    Command("uniform-bound", "uniform bound on fiber component lengths",
+            [_FAMILY], lambda a, f: record_extended(uniform_length_bound(f))),
+    Command("match-endpoints", "pair left endpoints with right endpoints",
+            [_FAMILY, _rat("--t")],
+            lambda a, f: record_pairs(match_endpoints(f, a.t))),
+    Command("classify", "reduct lattice verdict",
+            [_flag("--all", action="store_true"),
+             _flag("--gen", action="append")], _classify),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,133 +223,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path, '-' for stdout")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    def cmd(name, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("normalize", _cmd_normalize, help="canonical form of a 1-D set")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("boolop", _cmd_boolop, help="boolean operation on 1-D sets")
-    p.add_argument("--kind", required=True,
-                   choices=["union", "intersect", "difference", "symmdiff",
-                            "complement"])
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--y")
-
-    p = cmd("affine", _cmd_affine, help="image under x -> q*x + a")
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--q", required=True, type=_RAT)
-    p.add_argument("--a", required=True, type=_RAT)
-
-    p = cmd("endpoints", _cmd_endpoints, help="finite component endpoints")
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--side", required=True, choices=["left", "right"])
-
-    p = cmd("boundedness", _cmd_boundedness, help="boundedness class")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("topo", _cmd_topo, help="closure, interior or frontier")
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=["closure", "interior", "frontier"])
-
-    p = cmd("metrics", _cmd_metrics, help="component length and diameter")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("isolate", _cmd_isolate, help="shift isolating one component")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("classify1d", _cmd_classify1d, help="1-D trichotomy class")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("derive-ray", _cmd_derive_ray, help="synthesize a ray with trace")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("derive-interval", _cmd_derive_interval,
-            help="synthesize a single interval with trace")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("replay", _cmd_replay, help="replay a trace on the document's sets")
-    p.add_argument("--trace", required=True)
-
-    p = cmd("pc-normalize", _cmd_pc_normalize, help="canonical planar form")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("pc-boolop", _cmd_pc_boolop, help="boolean operation in the plane")
-    p.add_argument("--kind", required=True,
-                   choices=["union", "intersect", "difference", "symmdiff"])
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--y", required=True)
-
-    p = cmd("pc-affine", _cmd_pc_affine, help="translate and/or swap coordinates")
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--dx", default="0", type=_RAT)
-    p.add_argument("--dy", default="0", type=_RAT)
-    p.add_argument("--swap", action="store_true")
-
-    p = cmd("pc-boundedness", _cmd_pc_boundedness, help="bounded in the plane?")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("pc-topo", _cmd_pc_topo, help="planar closure or frontier")
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--kind", required=True, choices=["closure", "frontier"])
-
-    p = cmd("pc-section", _cmd_pc_section, help="pull back along a line")
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--slope", required=True, type=_SLOPE,
-                   help="rational or 'vertical'")
-    p.add_argument("--offset", required=True, type=_RAT)
-
-    p = cmd("pc-project", _cmd_pc_project, help="coordinate projection")
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--axis", required=True, type=int, choices=[1, 2])
-
-    p = cmd("pc-affine-part", _cmd_pc_affine_part,
-            help="locally affine points of a planar set")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("pc-germ", _cmd_pc_germ, help="compare local germs at two points")
-    p.add_argument("--x", "--set", dest="x", required=True)
-    p.add_argument("--p", required=True, type=_POINT, help="point as 'x,y'")
-    p.add_argument("--q", required=True, type=_POINT, help="point as 'x,y'")
-
-    p = cmd("pc-stab", _cmd_pc_stab, help="bounded-difference stabilizer")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("pc-decompose", _cmd_pc_decompose,
-            help="structure as co-bounded lines plus bounded residue")
-    p.add_argument("--x", "--set", dest="x", required=True)
-
-    p = cmd("fiber", _cmd_fiber, help="evaluate a family fiber")
-    p.add_argument("--family", required=True)
-    p.add_argument("--t", required=True, type=_RAT)
-
-    p = cmd("bounded-params", _cmd_bounded_params,
-            help="parameters with bounded fiber")
-    p.add_argument("--family", required=True)
-
-    p = cmd("endpoint-family", _cmd_endpoint_family,
-            help="family of fiber endpoints")
-    p.add_argument("--family", required=True)
-    p.add_argument("--side", required=True, choices=["left", "right"])
-
-    p = cmd("uniform-bound", _cmd_uniform_bound,
-            help="uniform bound on fiber component lengths")
-    p.add_argument("--family", required=True)
-
-    p = cmd("match-endpoints", _cmd_match_endpoints,
-            help="pair left endpoints with right endpoints")
-    p.add_argument("--family", required=True)
-    p.add_argument("--t", required=True, type=_RAT)
-
-    p = cmd("classify", _cmd_classify, help="reduct lattice verdict")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--gen", action="append")
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, parents=[common], help=command.help)
+        for names, _, options in command.flags:
+            p.add_argument(*names, **options)
+        p.set_defaults(entry=command)
     return parser
+
+
+def _run(args, doc: Document) -> dict:
+    """Fetch and type-check the objects the flags name, run the handler
+    and name its outputs."""
+    command = args.entry
+    objects = [_fetch(doc, getattr(args, options["dest"]), *kind)
+               for _, kind, options in command.flags if kind]
+    args.doc = doc
+    result = command.handler(args, *objects)
+    if len(command.outputs) == 1:
+        result = (result,)
+    return dict(zip(command.outputs, result))
 
 
 def _read(path: str) -> str:
@@ -392,7 +268,7 @@ def main(argv=None) -> int:
     out_path = args.output
     try:
         doc = parse_document(_read(args.input))
-        result = args.handler(args, doc)
+        result = _run(args, doc)
         _write(out_path, serialize_document(Document(result)))
         return 0
     except DocumentError as exc:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from typing import (Any, Callable, Dict, Mapping, NamedTuple, Optional,
+                    Tuple)
 
 from .classifier import LinForm1D, Verdict
 from .family import AffineFn, Band, Family, Graph
@@ -135,78 +136,23 @@ def _encode_lin_form(form) -> dict:
             "points": [[fmt_rat(x), fmt_rat(y)] for x, y in form.points]}
 
 
-def encode_value(value) -> Any:
-    if isinstance(value, IntervalUnion):
-        return {"type": "interval_union",
-                "intervals": [encode_interval(p) for p in value.parts]}
-    if isinstance(value, PlanarComplex):
-        return {"type": "planar_complex",
-                "cells": [_encode_cell(c) for c in value.cells]}
-    if isinstance(value, Family):
-        return {"type": "family",
-                "cells": [_encode_fiber_cell(c) for c in value.cells]}
-    if isinstance(value, Trace):
-        return {"type": "trace", "generators": list(value.generators),
-                "steps": [_encode_step(s) for s in value.steps],
-                "output": value.output}
-    if isinstance(value, BoundednessReport):
-        return {"type": "boundedness_report", "class": value.kind.value,
-                "witness": None if value.witness is None else fmt_rat(value.witness)}
-    if isinstance(value, Metrics):
-        return {"type": "metrics",
-                "max_component_length": fmt_ext(value.max_component_length),
-                "diameter": fmt_ext(value.diameter)}
-    if isinstance(value, OneDimClass):
-        return {"type": "one_dim_class", "kind": value.kind.value,
-                "side": value.side}
-    if isinstance(value, Isolation):
-        return {"type": "isolation", "shift": fmt_rat(value.shift),
-                "single": encode_interval(value.single)}
-    if isinstance(value, Subgroup2D):
-        return {"type": "subgroup", "kind": value.kind,
-                "direction": None if value.direction is None
-                else encode_slope(value.direction)}
-    if isinstance(value, Decomposition):
-        return {"type": "decomposition",
-                "graphs": [{"slope": fmt_rat(s),
-                            "offsets": [fmt_rat(d) for d in ds]}
-                           for s, ds in value.graphs],
-                "verticals": [fmt_rat(d) for d in value.verticals],
-                "residue": encode_value(value.residue),
-                "unresolved": [_encode_cell(c) for c in value.unresolved]}
-    if isinstance(value, Verdict):
-        out: Dict[str, Any] = {"type": "verdict", "level": value.level.name}
-        if value.lin_forms is not None:
-            out["lin_forms"] = {n: _encode_lin_form(f) for n, f in value.lin_forms}
-        if value.baselines is not None:
-            out["baselines"] = {n: encode_value(a) for n, a in value.baselines}
-        if value.ray is not None:
-            out["ray"] = {"generator": value.ray.generator,
-                          "trace": encode_value(value.ray.trace),
-                          "ray": encode_value(value.ray.ray)}
-        return out
-    raise TypeError(f"cannot encode {type(value).__name__}")
+def _encode_decomposition(d: Decomposition) -> tuple:
+    return ([{"slope": fmt_rat(s), "offsets": [fmt_rat(o) for o in ds]}
+             for s, ds in d.graphs],
+            [fmt_rat(v) for v in d.verticals], encode_value(d.residue),
+            [_encode_cell(c) for c in d.unresolved])
 
 
-def record_flag(value: bool) -> dict:
-    return {"type": "flag", "value": bool(value)}
-
-
-def record_rats(values) -> dict:
-    return {"type": "rats", "values": [fmt_rat(v) for v in values]}
-
-
-def record_extended(value) -> dict:
-    return {"type": "extended", "value": fmt_ext(value)}
-
-
-def record_pairs(pairs) -> dict:
-    return {"type": "pairs",
-            "pairs": [[fmt_rat(a), fmt_rat(b)] for a, b in pairs]}
-
-
-def record_error(tag: str, message: str) -> dict:
-    return {"type": "error", "tag": tag, "message": message}
+def _encode_verdict(v: Verdict) -> tuple:
+    return (v.level.name,
+            None if v.lin_forms is None
+            else {n: _encode_lin_form(f) for n, f in v.lin_forms},
+            None if v.baselines is None
+            else {n: encode_value(a) for n, a in v.baselines},
+            None if v.ray is None
+            else {"generator": v.ray.generator,
+                  "trace": encode_value(v.ray.trace),
+                  "ray": encode_value(v.ray.ray)})
 
 
 # ---------------------------------------------------------------- decoding
@@ -222,11 +168,10 @@ def decode_interval(obj, what="interval") -> Interval:
         _fail(f"{what}: {exc}")
 
 
-def _decode_interval_union(obj) -> IntervalUnion:
-    _expect_keys(obj, {"type", "intervals"}, what="interval_union")
-    if not isinstance(obj["intervals"], list):
-        _fail("intervals must be a list")
-    return normalize(decode_interval(o) for o in obj["intervals"])
+def _list(obj, key: str) -> list:
+    if not isinstance(obj[key], list):
+        _fail(f"{key} must be a list")
+    return obj[key]
 
 
 def _decode_cell(obj) -> Cell:
@@ -248,13 +193,6 @@ def _decode_cell(obj) -> Cell:
     except ValueError as exc:
         _fail(f"bad cell: {exc}")
     _fail(f"unknown cell kind {kind!r}")
-
-
-def _decode_planar(obj) -> PlanarComplex:
-    _expect_keys(obj, {"type", "cells"}, what="planar_complex")
-    if not isinstance(obj["cells"], list):
-        _fail("cells must be a list")
-    return pc_normalize([_decode_cell(o) for o in obj["cells"]])
 
 
 def _decode_boundary(obj, what="boundary"):
@@ -288,13 +226,6 @@ def _decode_fiber_cell(obj):
     except ValueError as exc:
         _fail(f"bad family cell: {exc}")
     _fail(f"unknown family cell kind {kind!r}")
-
-
-def _decode_family(obj) -> Family:
-    _expect_keys(obj, {"type", "cells"}, what="family")
-    if not isinstance(obj["cells"], list):
-        _fail("cells must be a list")
-    return Family(tuple(_decode_fiber_cell(o) for o in obj["cells"]))
 
 
 def _decode_ref(obj, what="reference"):
@@ -332,59 +263,111 @@ def _decode_step(obj) -> TraceStep:
 
 
 def _decode_trace(obj) -> Trace:
-    _expect_keys(obj, {"type", "generators", "steps", "output"}, what="trace")
     gens = obj["generators"]
     if (not isinstance(gens, list)
             or not all(isinstance(g, str) for g in gens)):
         _fail("generators must be a list of names")
-    if not isinstance(obj["steps"], list):
-        _fail("steps must be a list")
+    steps = _list(obj, "steps")
     try:
-        return Trace(tuple(gens),
-                     tuple(_decode_step(o) for o in obj["steps"]),
+        return Trace(tuple(gens), tuple(_decode_step(o) for o in steps),
                      _decode_ref(obj["output"], "output"))
     except ValueError as exc:
         _fail(f"bad trace: {exc}")
 
 
-_RECORD_KEYS = {
-    "flag": {"value"},
-    "rats": {"values"},
-    "extended": {"value"},
-    "pairs": {"pairs"},
-    "boundedness_report": {"class", "witness"},
-    "metrics": {"max_component_length", "diameter"},
-    "one_dim_class": {"kind", "side"},
-    "isolation": {"shift", "single"},
-    "subgroup": {"kind", "direction"},
-    "decomposition": {"graphs", "verticals", "residue", "unresolved"},
-    "verdict": {"level"},
-    "error": {"tag", "message"},
-}
-_RECORD_OPTIONAL = {
-    "verdict": {"lin_forms", "baselines", "ray"},
-}
+# ---------------------------------------------------------------- types
 
-_DECODERS = {
-    "interval_union": _decode_interval_union,
-    "planar_complex": _decode_planar,
-    "family": _decode_family,
-    "trace": _decode_trace,
-}
+class _Type(NamedTuple):
+    """One object type of the document format."""
+
+    name: str
+    cls: Optional[type]  # None for the records that record_* build
+    keys: Tuple[str, ...]  # required, besides "type"
+    optional: Tuple[str, ...]  # left out when None
+    encode: Callable  # the fields, in the order of keys + optional
+    decode: Optional[Callable] = None  # None: the record stays a dict
+
+
+_TYPES = [
+    _Type("interval_union", IntervalUnion, ("intervals",), (),
+          lambda x: ([encode_interval(p) for p in x.parts],),
+          lambda o: normalize(decode_interval(p)
+                              for p in _list(o, "intervals"))),
+    _Type("planar_complex", PlanarComplex, ("cells",), (),
+          lambda x: ([_encode_cell(c) for c in x.cells],),
+          lambda o: pc_normalize([_decode_cell(c)
+                                  for c in _list(o, "cells")])),
+    _Type("family", Family, ("cells",), (),
+          lambda f: ([_encode_fiber_cell(c) for c in f.cells],),
+          lambda o: Family(tuple(_decode_fiber_cell(c)
+                                 for c in _list(o, "cells")))),
+    _Type("trace", Trace, ("generators", "steps", "output"), (),
+          lambda t: (list(t.generators), [_encode_step(s) for s in t.steps],
+                     t.output),
+          _decode_trace),
+    _Type("boundedness_report", BoundednessReport, ("class", "witness"), (),
+          lambda r: (r.kind.value,
+                     None if r.witness is None else fmt_rat(r.witness))),
+    _Type("metrics", Metrics, ("max_component_length", "diameter"), (),
+          lambda m: (fmt_ext(m.max_component_length), fmt_ext(m.diameter))),
+    _Type("one_dim_class", OneDimClass, ("kind", "side"), (),
+          lambda c: (c.kind.value, c.side)),
+    _Type("isolation", Isolation, ("shift", "single"), (),
+          lambda i: (fmt_rat(i.shift), encode_interval(i.single))),
+    _Type("subgroup", Subgroup2D, ("kind", "direction"), (),
+          lambda g: (g.kind, None if g.direction is None
+                     else encode_slope(g.direction))),
+    _Type("decomposition", Decomposition,
+          ("graphs", "verticals", "residue", "unresolved"), (),
+          _encode_decomposition),
+    _Type("verdict", Verdict, ("level",), ("lin_forms", "baselines", "ray"),
+          _encode_verdict),
+    _Type("flag", None, ("value",), (), lambda value: (bool(value),)),
+    _Type("rats", None, ("values",), (),
+          lambda values: ([fmt_rat(v) for v in values],)),
+    _Type("extended", None, ("value",), (), lambda value: (fmt_ext(value),)),
+    _Type("pairs", None, ("pairs",), (),
+          lambda pairs: ([[fmt_rat(a), fmt_rat(b)] for a, b in pairs],)),
+    _Type("error", None, ("tag", "message"), (),
+          lambda tag, message: (tag, message)),
+]
+_BY_NAME = {t.name: t for t in _TYPES}
+
+
+def _record(t: _Type, *args) -> dict:
+    out = {"type": t.name}
+    for key, value in zip(t.keys + t.optional, t.encode(*args)):
+        if value is not None or key in t.keys:
+            out[key] = value
+    return out
+
+
+def encode_value(value) -> dict:
+    for t in _TYPES:
+        if t.cls is not None and isinstance(value, t.cls):
+            return _record(t, value)
+    raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _recorder(name: str) -> Callable[..., dict]:
+    t = _BY_NAME[name]
+    return lambda *args: _record(t, *args)
+
+
+# records of plain values: a boolean, rationals, an extended rational,
+# pairs of rationals, and an error (tag, message)
+record_flag, record_rats, record_extended, record_pairs, record_error = map(
+    _recorder, ("flag", "rats", "extended", "pairs", "error"))
 
 
 def decode_object(obj) -> Any:
     if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         _fail("each object needs a string type field")
-    tname = obj["type"]
-    if tname in _DECODERS:
-        return _DECODERS[tname](obj)
-    if tname in _RECORD_KEYS:
-        _expect_keys(obj, _RECORD_KEYS[tname] | {"type"},
-                     optional=_RECORD_OPTIONAL.get(tname, frozenset()),
-                     what=tname)
-        return dict(obj)
-    _fail(f"unknown object type {tname!r}")
+    t = _BY_NAME.get(obj["type"])
+    if t is None:
+        _fail(f"unknown object type {obj['type']!r}")
+    _expect_keys(obj, {"type", *t.keys}, optional=t.optional, what=t.name)
+    return dict(obj) if t.decode is None else t.decode(obj)
 
 
 def _no_duplicates(pairs):

@@ -266,7 +266,9 @@ def affine_op(x: IntervalUnion, q, a) -> IntervalUnion:
         else:
             parts.append(Interval(q * p.hi + a, q * p.lo + a,
                                   p.hi_closed, p.lo_closed))
-    return normalize(parts)
+    # an affine bijection keeps parts disjoint and non-mergeable, so the
+    # image is canonical once a negative scale's reversal is undone
+    return IntervalUnion(tuple(parts) if q > 0 else tuple(reversed(parts)))
 
 
 def translate(x: IntervalUnion, a) -> IntervalUnion:

@@ -242,16 +242,19 @@ def _as_point(p) -> Point:
     return Point(as_rat(x), as_rat(y))
 
 
-def _view(x: PlanarComplex) -> _View:
+def _group(cells: Iterable[Cell]) -> _View:
+    """The points, and each carrier's parameters, normalized once."""
     carriers: Dict[Carrier, List[Interval]] = {}
     pts: List[Point] = []
-    for c in x.cells:
+    for c in cells:
         if isinstance(c, Point):
             pts.append(c)
         elif isinstance(c, Seg):
             carriers.setdefault(Carrier(c.slope, c.intercept), []).append(c.domain)
-        else:
+        elif isinstance(c, VSeg):
             carriers.setdefault(Carrier(VERTICAL, c.x), []).append(c.rng)
+        else:
+            raise ValueError(f"not a cell: {c!r}")
     return _View({k: iv.normalize(v) for k, v in carriers.items()}, pts)
 
 
@@ -259,18 +262,7 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
     """Build the canonical form: collinear runs merged, points absorbed
     into carrier lines where possible, crossings split with deterministic
     ownership."""
-    unions: Dict[Carrier, IntervalUnion] = {}
-    loose: List[Point] = []
-    for c in cells:
-        if isinstance(c, Point):
-            loose.append(c)
-        elif isinstance(c, (Seg, VSeg)):
-            k = carrier_of(c)
-            part = c.domain if isinstance(c, Seg) else c.rng
-            unions[k] = iv.union(unions.get(k, EMPTY), iv.IntervalUnion((part,)))
-        else:
-            raise ValueError(f"not a cell: {c!r}")
-
+    unions, loose = _group(cells)
     keys = sorted(unions, key=Carrier.sort_key)
     standalone: List[Point] = []
     for p in sorted(set(loose), key=lambda q: (q.x, q.y)):
@@ -356,7 +348,7 @@ def pc_bool_op(kind: str, x: PlanarComplex, y: PlanarComplex) -> PlanarComplex:
                           pc_bool_op("difference", y, x))
     if kind not in ("intersect", "difference"):
         raise ValueError(f"unknown planar boolean operation {kind!r}")
-    vx, vy = _view(x), _view(y)
+    vx, vy = _group(x.cells), _group(y.cells)
     cells: List[Cell] = []
     for carrier, u in vx.carriers.items():
         w = _line_params(carrier, vy)
@@ -527,7 +519,7 @@ def affine_part(x: PlanarComplex) -> PlanarComplex:
     Cell interiors qualify; junction points qualify only when the local
     star is a single straight line; isolated points qualify vacuously.
     """
-    view = _view(x)
+    view = _group(x.cells)
     bad: List[Cell] = []
     for q in _junctions(x):
         if not x.contains(q):
@@ -550,7 +542,7 @@ def germ_equal(x: PlanarComplex, p, q) -> bool:
     p, q = _as_point(p), _as_point(q)
     if not x.contains(p) or not x.contains(q):
         raise PreconditionError("germ comparison needs points of the set")
-    view = _view(x)
+    view = _group(x.cells)
     return _arms_at(view, p) == _arms_at(view, q)
 
 
@@ -576,7 +568,8 @@ def stab_bd(x: PlanarComplex) -> Subgroup2D:
     """
     if pc_boundedness(x):
         return Subgroup2D("plane")
-    dirs = {c.slope for c, u in _view(x).carriers.items() if not u.is_bounded}
+    dirs = {c.slope for c, u in _group(x.cells).carriers.items()
+            if not u.is_bounded}
     if len(dirs) == 1:
         return Subgroup2D("line", dirs.pop())
     return Subgroup2D("zero")
@@ -601,7 +594,7 @@ def decompose(x: PlanarComplex) -> Decomposition:
     minus x bounded, residue bounded, exact partition) are re-checked
     before returning.
     """
-    view = _view(x)
+    view = _group(x.cells)
     residue_cells: List[Cell] = list(view.points)
     unresolved: List[Cell] = []
     claimed: List[Cell] = []

@@ -3,13 +3,15 @@
 Kept as a reference for differential tests: ``intersect`` tries every
 pair of parts and re-normalizes, ``difference`` intersects with the
 complement, ``symmdiff`` is two differences and a union, and ``union``
-and ``normalize`` sort the parts and merge neighbours.
+and ``normalize`` sort the parts and merge neighbours.  ``affine_op``
+re-normalizes the image of each part, as it did before it returned the
+image parts directly.
 """
 
 from typing import Iterable, List, Optional
 
 from semilin.intervals import Interval, IntervalUnion
-from semilin.rat import Ext, NEG_INF, POS_INF
+from semilin.rat import Ext, NEG_INF, POS_INF, as_rat
 
 
 def _mergeable(a: Interval, b: Interval) -> bool:
@@ -93,3 +95,16 @@ def difference(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
 
 def symmdiff(x: IntervalUnion, y: IntervalUnion) -> IntervalUnion:
     return union(difference(x, y), difference(y, x))
+
+
+def affine_op(x: IntervalUnion, q, a) -> IntervalUnion:
+    q, a = as_rat(q), as_rat(a)
+    parts = []
+    for p in x.parts:
+        if q > 0:
+            parts.append(Interval(q * p.lo + a, q * p.hi + a,
+                                  p.lo_closed, p.hi_closed))
+        else:
+            parts.append(Interval(q * p.hi + a, q * p.lo + a,
+                                  p.hi_closed, p.lo_closed))
+    return normalize(parts)

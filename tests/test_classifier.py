@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from semilin import classifier
+from semilin import intervals as iv
 from semilin.classifier import (Level, classify, is_affine_combo,
                                 sb_certificate)
-from semilin.intervals import (EMPTY, FULL, IntervalUnion, affine_op,
+from semilin.errors import SemilinError
+from semilin.intervals import (EMPTY, FULL, FULL_LINE, Interval,
+                               IntervalUnion, affine_op,
                                complement, intersect, points, symmdiff,
                                translate, union)
 from semilin.planar import (PlanarComplex, Point, Seg, pc_affine, pc_bool_op,
@@ -99,6 +103,25 @@ class TestSbCertificate:
         for name, gens, level in classifier_corpus():
             if name == "v shape":
                 assert sb_certificate(next(iter(gens.values()))) is None
+
+    @pytest.mark.parametrize("planar", [False, True], ids=["1-D", "planar"])
+    def test_unbounded_difference_fails_classify(self, planar, monkeypatch):
+        """sb_certificate makes the only bounded-difference check, so a
+        baseline whose symmetric difference is unbounded stops classify."""
+        line = pc_normalize([Seg(0, 0, FULL_LINE)])
+
+        def unbounded_symmdiff(kind, x, y):
+            return line if kind == "symmdiff" else pc_bool_op(kind, x, y)
+
+        gen = (pc_normalize([Seg(0, 0, Interval.closed(0, 1))]) if planar
+               else iu("(0,1)"))
+        assert classify({"g": gen}).level is Level.LIN_STAR
+        if planar:
+            monkeypatch.setattr(classifier, "pc_bool_op", unbounded_symmdiff)
+        else:
+            monkeypatch.setattr(iv, "symmdiff", lambda x, y: iu("(0,inf)"))
+        with pytest.raises(SemilinError, match="baseline"):
+            classify({"g": gen})
 
 
 class TestClassify:

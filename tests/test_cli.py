@@ -2,18 +2,33 @@ import importlib.util
 import io
 import json
 import os
+import random
+import re
 import shutil
 import site
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semilin
-from semilin.cli import main
+from semilin import cli
+from semilin.cli import COMMANDS, main
+from semilin.document import Document, parse_document, serialize_document
+from semilin.family import Family
+from semilin.intervals import IntervalUnion
+from semilin.planar import PlanarComplex
+from semilin.synthesis import derive_ray
+from semilin.trace import Trace
+
+from conftest import iu, random_complex, random_family, random_union
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 # (case name, input file, argv tail); outputs live in <name>.out.json
 CASES = [
@@ -147,6 +162,97 @@ def test_version_flag(capsys):
 def test_help_flag(capsys):
     assert main(["--help"]) == 0
     assert "classify" in capsys.readouterr().out
+
+
+def test_readme_lists_every_command_in_table_order():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("Commands:", 1)[1].split("Run `semilin", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == [name for name, *_ in COMMANDS]
+
+
+# a flag's values: the names in the document (mostly one of the flag's
+# type), a missing name, and well-formed rationals, slopes and points
+OBJECT_NAMES = ["X", "P", "F", "T", "missing"]
+OWN_NAME = {IntervalUnion: "X", PlanarComplex: "P", Family: "F", Trace: "T"}
+RATS = ["0", "1", "-2/3", "5", "1/2"]
+FLAG_VALUES = {cli._RAT: RATS, cli._SLOPE: RATS + ["vertical"],
+               cli._POINT: ["0,0", "1,-1", "1/2,3"]}
+JUNK = [None, True, 0, 7, "", "x", "1/0", "inf", "-inf", [], {}, ["X"]]
+
+
+def _flag_argv(draw, flag):
+    names, kind, options = flag
+    if options.get("action") == "store_true":
+        return [names[0]] if draw(st.booleans()) else []
+    if options.get("action") == "append":
+        picks = draw(st.lists(st.sampled_from(OBJECT_NAMES), max_size=2))
+        return [arg for name in picks for arg in (names[0], name)]
+    if not options.get("required") and not draw(st.booleans()):
+        return []
+    if kind is not None:
+        values = [OWN_NAME[kind[0]]] * 4 + OBJECT_NAMES
+    elif "choices" in options:
+        values = [str(c) for c in options["choices"]]
+    else:
+        values = FLAG_VALUES[options["type"]]
+    return [draw(st.sampled_from(names)), draw(st.sampled_from(values))]
+
+
+def _paths(node):
+    """Every (container, key) inside a decoded JSON value."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield node, key
+        yield from _paths(child)
+
+
+@st.composite
+def documents(draw):
+    """A document with one object of each input type, as text; in half
+    the cases it is lightly corrupted."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    _, trace = derive_ray(iu("(-inf,0) (1,2)"), name="X")
+    raw = json.loads(serialize_document(Document({
+        "X": random_union(rng, 3), "P": random_complex(rng, 3),
+        "F": random_family(rng, 2), "T": trace})))
+    how = draw(st.integers(0, 5))
+    if how < 3:
+        return json.dumps(raw)
+    if how == 5:
+        text = json.dumps(raw)
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + text[at + 1:]
+    container, key = draw(st.sampled_from(list(_paths(raw))))
+    if how == 3 and isinstance(container, dict):
+        del container[key]
+    else:
+        container[key] = draw(st.sampled_from(JUNK))
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c.name for c in COMMANDS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_command_keeps_the_exit_contract(command, data):
+    """On any document, main returns 0, 1 or 2 and raises nothing; exit 2
+    writes only an error record, and exit 0 writes a readable document."""
+    text = data.draw(documents())
+    argv = [command.name]
+    for flag in command.flags:
+        argv += _flag_argv(data.draw, flag)
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp, "in.json"), Path(tmp, "out.json")
+        inp.write_text(text, encoding="utf-8")
+        code = main(argv + ["-i", str(inp), "-o", str(out)])
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            objects = json.loads(out.read_text())["objects"]
+            assert list(objects) == ["error"], argv
+            assert objects["error"]["type"] == "error"
+        elif code == 0:
+            parse_document(out.read_text())
 
 
 @pytest.mark.skipif(importlib.util.find_spec("setuptools") is None,

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +9,13 @@ from semilin.document import (Document, DocumentError, encode_value,
 from semilin.intervals import boundedness, isolate_interval, metrics
 from semilin.planar import Point, decompose, pc_normalize, stab_bd
 from semilin.synthesis import derive_ray
-from semilin.classifier import classify
+from semilin.classifier import Level, classify
 
-from conftest import iu, random_bounded_family, random_complex, random_union
+from conftest import (classifier_corpus, iu, random_bounded_family,
+                      random_complex, random_union)
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def roundtrip(doc: Document) -> Document:
@@ -51,6 +54,22 @@ class TestRoundTrip:
         })
         text = serialize_document(doc)
         assert serialize_document(parse_document(text)) == text
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.out.json")),
+                             ids=lambda p: p.name)
+    def test_golden_outputs_are_fixed_points(self, path):
+        data = path.read_bytes()
+        text = serialize_document(parse_document(data.decode("utf-8")))
+        assert text.encode("utf-8") == data
+
+    def test_verdicts_at_every_level_pass_through(self):
+        levels = set()
+        for _, gens, level in classifier_corpus():
+            verdict = classify(gens)
+            levels.add(verdict.level)
+            text = serialize_document(Document({"v": verdict}))
+            assert serialize_document(parse_document(text)) == text
+        assert levels == set(Level)
 
     def test_identity_on_canonical_text(self, rng):
         doc = Document({"x": random_union(rng), "p": random_complex(rng, 3)})

@@ -1,6 +1,7 @@
 """Heavier randomized cross-checks: presentation independence of the
-planar normal form, membership oracles for the planar boolean algebra,
-decomposition fuzzing, and coincidence-rich families."""
+planar normal form and agreement with the normalizer it replaced,
+membership oracles for the planar boolean algebra, decomposition
+fuzzing, and coincidence-rich families."""
 
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from semilin.rat import NEG_INF, POS_INF, is_finite
 from semilin.synthesis import derive_interval, derive_ray
 from semilin.trace import replay
 
-from conftest import iu, random_complex, rat
+import planar_oracle
+from conftest import iu, random_cell, random_complex, random_domain, rat
 
 F = Fraction
 
@@ -61,6 +63,24 @@ def test_normal_form_is_presentation_independent(rng):
     for _ in range(200):
         x = random_complex(rng, 4)
         assert pc_normalize(_represent(x, rng)) == x
+
+
+def test_grouped_normalize_matches_incremental_oracle(rng):
+    """pc_normalize normalizes each carrier's parts once; the oracle
+    unites them one at a time.  The raw cells put a second part on each
+    carrier they use, so parts on one carrier overlap or touch."""
+    for _ in range(200):
+        raw = [random_cell(rng) for _ in range(rng.randint(0, 6))]
+        used = dict.fromkeys(carrier_of(c) for c in raw
+                             if not isinstance(c, Point))
+        for k in used:
+            raw += k.cells(IntervalUnion((random_domain(rng, True),)))
+        rng.shuffle(raw)
+        x = random_complex(rng, 4)
+        for cells in (raw, list(x.cells), _represent(x, rng)):
+            assert pc_normalize(cells) == planar_oracle.pc_normalize(cells)
+    with pytest.raises(ValueError, match="not a cell"):
+        pc_normalize([Point(0, 0), Interval.point(1)])
 
 
 def _probes(x, y):

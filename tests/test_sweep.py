@@ -76,6 +76,15 @@ def test_normalize_of_raw_parts_matches_oracle(raw):
     assert iv.normalize(reversed(raw)).parts == expected
 
 
+@settings(max_examples=300)
+@given(unions, st.sampled_from([Fraction(n, d) for n in (-3, -1, 1, 2)
+                                for d in (1, 3)]), ends)
+def test_affine_image_matches_normalizing_oracle(x, q, a):
+    """affine_op returns the image parts in order without re-normalizing;
+    the oracle normalizes them."""
+    assert iv.affine_op(x, q, a).parts == oracle.affine_op(x, q, a).parts
+
+
 @given(unions)
 def test_contains_matches_linear_scan(x):
     probes = {Fraction(-5), Fraction(5)}
