@@ -15,8 +15,9 @@ class NoIsolatingShift(SemilinError):
 
 
 class IterationCapExceeded(SemilinError):
-    """The interval-contraction loop hit its cap and the fallback
-    difference search also failed."""
+    """A derivation loop stopped short of its goal: interval contraction
+    hit its cap and the fallback difference search failed, or ray peeling
+    made no progress or did not end in a single ray."""
 
 
 class ReplayError(SemilinError):
@@ -31,3 +32,7 @@ class UnboundedFiber(SemilinError):
 class PairingMismatch(SemilinError):
     """The endpoint-matching formula disagreed with the true component
     list (possible only when two open components share an endpoint)."""
+
+
+class RationalTooLarge(SemilinError):
+    """A rational in a result has too many digits to be written as text."""

@@ -4,14 +4,15 @@ A family is a finite list of cylindrical cells: bands between affine
 boundaries and graphs of affine functions, over interval domains in the
 parameter t.  Fiber structure is piecewise constant in t, so endpoint
 families and the uniform component-length bound are computed exactly by
-refining the axis at boundary crossings and domain endpoints.
+one sweep along t that stops at boundary crossings and domain endpoints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from . import intervals as iv
 from .errors import PairingMismatch, PreconditionError, UnboundedFiber
@@ -89,7 +90,7 @@ class Band:
         root = -dc / ds
         if d.lo < root < d.hi:
             raise ValueError("band boundaries cross inside the domain")
-        sample = _sample_interior(d)
+        sample = _sample_interior(d.lo, d.hi)
         if ds * sample + dc <= 0:
             raise ValueError("band boundaries out of order on the domain")
 
@@ -116,14 +117,14 @@ class Family:
     cells: Tuple[FiberCell, ...] = ()
 
 
-def _sample_interior(d: Interval) -> Rat:
-    lo_fin, hi_fin = is_finite(d.lo), is_finite(d.hi)
+def _sample_interior(lo: Ext, hi: Ext) -> Rat:
+    lo_fin, hi_fin = is_finite(lo), is_finite(hi)
     if lo_fin and hi_fin:
-        return (d.lo + d.hi) / 2
+        return (lo + hi) / 2
     if lo_fin:
-        return d.lo + 1
+        return lo + 1
     if hi_fin:
-        return d.hi - 1
+        return hi - 1
     return Fraction(0)
 
 
@@ -166,49 +167,43 @@ def bounded_params(family: Family) -> IntervalUnion:
     return iv.difference(param_domain(family), iv.normalize(ray_domains))
 
 
-def _criticals(family: Family) -> List[Rat]:
-    out = set()
-    entries: List[Tuple[AffineFn, Interval]] = []
-    for c in family.cells:
+def _criticals(family: Family) -> Dict[Rat, Set[int]]:
+    """Each critical parameter with the cells it touches: those with a
+    domain end there, or with a boundary that crosses another cell's
+    boundary there, inside both domains."""
+    touched: Dict[Rat, Set[int]] = {}
+    entries: List[Tuple[AffineFn, Interval, int]] = []
+    for i, c in enumerate(family.cells):
         for e in (c.domain.lo, c.domain.hi):
             if is_finite(e):
-                out.add(e)
-        if isinstance(c, Graph):
-            entries.append((c.value, c.domain))
-        else:
-            if isinstance(c.lower, AffineFn):
-                entries.append((c.lower, c.domain))
-            if isinstance(c.upper, AffineFn):
-                entries.append((c.upper, c.domain))
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            f, df = entries[i]
-            g, dg = entries[j]
+                touched.setdefault(e, set()).add(i)
+        fns = (c.value,) if isinstance(c, Graph) else (c.lower, c.upper)
+        entries.extend((f, c.domain, i) for f in fns if isinstance(f, AffineFn))
+    for k, (f, df, i) in enumerate(entries):
+        for g, dg, j in entries[k + 1:]:
             if f.slope == g.slope:
                 continue
             t = (g.intercept - f.intercept) / (f.slope - g.slope)
             if df.contains(t) and dg.contains(t):
-                out.add(t)
-    return sorted(out)
+                touched.setdefault(t, set()).update((i, j))
+    return touched
 
 
-def _pieces(region: IntervalUnion, criticals: List[Rat]) -> List[Interval]:
-    pieces: List[Interval] = []
-    for comp in region.parts:
-        if comp.is_point:
-            pieces.append(comp)
-            continue
-        cuts = [t for t in criticals if comp.lo < t < comp.hi]
-        if comp.lo_closed:
-            pieces.append(Interval.point(comp.lo))
-        edges = [comp.lo] + cuts + [comp.hi]
-        for a, b in zip(edges, edges[1:]):
-            pieces.append(Interval(a, b))
-        for t in cuts:
-            pieces.append(Interval.point(t))
-        if comp.hi_closed:
-            pieces.append(Interval.point(comp.hi))
-    return pieces
+def _cut(part: Interval, criticals: List[Rat]) -> Iterator[Tuple[Ext, Ext]]:
+    """The region part's pieces in t order, as (lo, hi): points (lo == hi)
+    at its closed ends and inner critical points, open intervals between."""
+    if part.lo_closed:
+        yield part.lo, part.lo
+    if part.is_point:
+        return
+    a = part.lo
+    for t in criticals[bisect_right(criticals, a):bisect_left(criticals, part.hi)]:
+        yield a, t
+        yield t, t
+        a = t
+    yield a, part.hi
+    if part.hi_closed:
+        yield part.hi, part.hi
 
 
 @dataclass(frozen=True)
@@ -219,46 +214,120 @@ class _SymComp:
     hi_closed: bool
 
 
-def _symbolic_components(family: Family, t: Rat) -> List[_SymComp]:
-    """Merged fiber components at t, with their boundary functions.
+def _joins(a_hi: Rat, a_hi_closed: bool, b_lo: Rat, b_lo_closed: bool) -> bool:
+    # a component starting at b_lo, not left of a's start, meets a
+    return b_lo < a_hi or (b_lo == a_hi and (a_hi_closed or b_lo_closed))
 
-    Valid across any parameter piece that contains t and crosses no
-    boundary coincidence or domain endpoint.
-    """
-    raw: List[_SymComp] = []
-    for c in family.cells:
+
+def _merge(cells: Tuple[FiberCell, ...], pool: Set[int], t: Rat) -> List[list]:
+    """Merged fiber components at t of the pool's cells, sorted by x, as
+    [comp, lo(t), hi(t), member cells]."""
+    raw = []
+    for i in pool:
+        c = cells[i]
         if not c.domain.contains(t):
             continue
         if isinstance(c, Graph):
-            raw.append(_SymComp(c.value, c.value, True, True))
+            v = c.value(t)
+            raw.append((v, v, _SymComp(c.value, c.value, True, True), i))
             continue
         if not (isinstance(c.lower, AffineFn) and isinstance(c.upper, AffineFn)):
             raise UnboundedFiber(f"fiber at {t} is unbounded")
         lo, hi = c.lower(t), c.upper(t)
-        if lo > hi:
+        if lo > hi or (lo == hi and not (c.lower_closed and c.upper_closed)):
             continue
-        if lo == hi and not (c.lower_closed and c.upper_closed):
-            continue
-        raw.append(_SymComp(c.lower, c.upper, c.lower_closed, c.upper_closed))
-    raw.sort(key=lambda s: (s.lo(t), not s.lo_closed) + s.lo.key())
-    merged: List[_SymComp] = []
-    for item in raw:
-        if merged:
+        raw.append((lo, hi, _SymComp(c.lower, c.upper, c.lower_closed,
+                                     c.upper_closed), i))
+    raw.sort(key=lambda r: (r[0], not r[2].lo_closed) + r[2].lo.key())
+    merged: List[list] = []
+    for lo, hi, s, i in raw:
+        if merged and _joins(merged[-1][2], merged[-1][0].hi_closed, lo, s.lo_closed):
             a = merged[-1]
-            a_hi, b_lo = a.hi(t), item.lo(t)
-            if b_lo < a_hi or (b_lo == a_hi and (a.hi_closed or item.lo_closed)):
-                hi_a, hi_b = a.hi(t), item.hi(t)
-                if (hi_b, item.hi_closed) > (hi_a, a.hi_closed):
-                    pick, closed = item.hi, item.hi_closed
-                elif (hi_b, item.hi_closed) < (hi_a, a.hi_closed):
-                    pick, closed = a.hi, a.hi_closed
-                else:
-                    pick = min(a.hi, item.hi, key=AffineFn.key)
-                    closed = a.hi_closed
-                merged[-1] = _SymComp(a.lo, pick, a.lo_closed, closed)
-                continue
-        merged.append(item)
+            comp, top = a[0], (a[2], a[0].hi_closed)
+            if (hi, s.hi_closed) > top:
+                a[0], a[2] = _SymComp(comp.lo, s.hi, comp.lo_closed, s.hi_closed), hi
+            elif (hi, s.hi_closed) == top:
+                pick = min(comp.hi, s.hi, key=AffineFn.key)
+                a[0] = _SymComp(comp.lo, pick, comp.lo_closed, comp.hi_closed)
+            a[3].append(i)
+        else:
+            merged.append([s, lo, hi, [i]])
     return merged
+
+
+@dataclass(eq=False)
+class _Run:
+    """A merged component and its member cells, alive since the piece
+    that starts at (lo, lo_closed)."""
+
+    comp: _SymComp
+    cells: List[int]
+    lo: Ext
+    lo_closed: bool
+
+
+def _settle(cells, runs: List[_Run], owner: Dict[int, _Run], pool: Set[int], t):
+    """Re-merge at t the pool's cells with the runs that hold one or that a
+    re-merged component meets, taking those runs out of `runs`.  Returns
+    them by component, the new components and their insertion points."""
+    taken: Dict[_SymComp, _Run] = {}
+    grab = dict.fromkeys(owner[i] for i in pool if i in owner)
+    lo_at = lambda r: r.comp.lo(t)
+    while True:
+        for run in grab:
+            runs.remove(run)
+            pool.update(run.cells)
+        taken.update((run.comp, run) for run in grab)
+        merged, grab, slots = _merge(cells, pool, t), {}, []
+        for comp, lo, hi, _ in merged:
+            p = q = bisect_left(runs, lo, key=lo_at)
+            left = runs[p - 1].comp if p else None
+            if left and _joins(left.hi(t), left.hi_closed, lo, comp.lo_closed):
+                grab[runs[p - 1]] = None
+            while q < len(runs) and _joins(hi, comp.hi_closed, lo_at(runs[q]),
+                                           runs[q].comp.lo_closed):
+                grab[runs[q]] = None
+                q += 1
+            slots.append(p)
+        if not grab:
+            for i in pool:
+                owner.pop(i, None)
+            return taken, merged, slots
+
+
+def _refine(family: Family, region: IntervalUnion) -> Iterator[Tuple[Interval, _SymComp]]:
+    """Sweep the region in t order and yield (hull, comp) once per maximal
+    run of refinement pieces over which the merged fiber component comp
+    persists.
+
+    Between consecutive critical points no boundary crosses another and
+    no cell starts or ends, so the boundaries keep their order and only a
+    component holding a cell touched at a critical point can change there
+    (kinetic sorting: Basch, Guibas and Hershberger, J. Algorithms 31(1),
+    1999).  Those are re-merged with the touched cells, absorbing any other
+    component they come to meet; the rest are kept as they are.
+    """
+    cells = family.cells
+    touched = _criticals(family)
+    criticals = sorted(touched)
+    for part in region.parts:
+        runs: List[_Run] = []        # live components, sorted by x
+        owner: Dict[int, _Run] = {}  # member cell -> its live run
+        last = None                  # upper end of the previous piece
+        for lo, hi in _cut(part, criticals):
+            t = lo if lo == hi else _sample_interior(lo, hi)
+            pool = set(range(len(cells)) if last is None else touched.get(lo, ()))
+            ended, merged, slots = _settle(cells, runs, owner, pool, t)
+            for (comp, _, _, members), p in reversed(list(zip(merged, slots))):
+                run = ended.pop(comp, None) or _Run(comp, members, lo, lo == hi)
+                run.cells = members
+                runs.insert(p, run)
+                owner.update(dict.fromkeys(members, run))
+            for run in ended.values():
+                yield Interval(run.lo, last[0], run.lo_closed, last[1]), run.comp
+            last = hi, lo == hi
+        for run in runs:
+            yield Interval(run.lo, last[0], run.lo_closed, last[1]), run.comp
 
 
 def endpoint_family(family: Family, side: str) -> Family:
@@ -272,11 +341,9 @@ def endpoint_family(family: Family, side: str) -> Family:
     if bounded_params(family) != domain:
         raise UnboundedFiber("endpoint family needs all fibers bounded")
     by_fn: Dict[AffineFn, List[Interval]] = {}
-    for piece in _pieces(domain, _criticals(family)):
-        t = piece.lo if piece.is_point else _sample_interior(piece)
-        for comp in _symbolic_components(family, t):
-            fn = comp.lo if side == "left" else comp.hi
-            by_fn.setdefault(fn, []).append(piece)
+    for hull, comp in _refine(family, domain):
+        fn = comp.lo if side == "left" else comp.hi
+        by_fn.setdefault(fn, []).append(hull)
     cells = []
     for fn in sorted(by_fn, key=AffineFn.key):
         for part in iv.normalize(by_fn[fn]).parts:
@@ -308,15 +375,12 @@ def uniform_length_bound(family: Family) -> Ext:
     limits; it is infinite when the bounded fibers have components of
     unbounded length.
     """
-    region = bounded_params(family)
     best: Ext = Fraction(0)
-    for piece in _pieces(region, _criticals(family)):
-        t = piece.lo if piece.is_point else _sample_interior(piece)
-        for comp in _symbolic_components(family, t):
-            sup = _affine_sup(comp.hi.slope - comp.lo.slope,
-                              comp.hi.intercept - comp.lo.intercept, piece)
-            if sup > best:
-                best = sup
+    for hull, comp in _refine(family, bounded_params(family)):
+        sup = _affine_sup(comp.hi.slope - comp.lo.slope,
+                          comp.hi.intercept - comp.lo.intercept, hull)
+        if sup > best:
+            best = sup
     return best
 
 

@@ -264,6 +264,10 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
     ownership."""
     unions, loose = _group(cells)
     keys = sorted(unions, key=Carrier.sort_key)
+    # each decision below reads a carrier's union only at its own point's
+    # parameter, and the others change it only at theirs, so each phase
+    # collects its changes and applies them in one batch per carrier
+    adds: Dict[Carrier, List[Rat]] = {}
     standalone: List[Point] = []
     for p in sorted(set(loose), key=lambda q: (q.x, q.y)):
         covered = False
@@ -279,10 +283,10 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
         if covered:
             continue
         if target is not None:
-            unions[target] = iv.union(unions[target],
-                                      iv.points([target.param_of(p)]))
+            adds.setdefault(target, []).append(target.param_of(p))
         else:
             standalone.append(p)
+    _apply(unions, adds, {})
 
     # a covered crossing point belongs to the least carrier where it
     # attaches to a run, else the least carrier line through it; this
@@ -293,6 +297,7 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
             p = _cross(keys[i], keys[j])
             if p is not None:
                 crossings[(p.x, p.y)] = p
+    adds, drops = {}, {}
     for _, p in sorted(crossings.items()):
         through = [k for k in keys if k.line_contains(p)]
         if not any(unions[k].contains(k.param_of(p)) for k in through):
@@ -303,14 +308,25 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
         for k in through:
             t = k.param_of(p)
             if k == owner:
-                unions[k] = iv.union(unions[k], iv.points([t]))
+                adds.setdefault(k, []).append(t)
             elif unions[k].contains(t):
-                unions[k] = iv.difference(unions[k], iv.points([t]))
+                drops.setdefault(k, []).append(t)
+    _apply(unions, adds, drops)
 
     out: List[Cell] = list(standalone)
     for k in keys:
         out.extend(k.cells(unions[k]))
     return PlanarComplex(tuple(sorted(out, key=_cell_key)))
+
+
+def _apply(unions: Dict[Carrier, IntervalUnion], adds: Dict[Carrier, List[Rat]],
+           drops: Dict[Carrier, List[Rat]]) -> None:
+    # one union and one difference per carrier; a carrier never both gains
+    # and loses the same parameter
+    for k, ts in adds.items():
+        unions[k] = iv.union(unions[k], iv.points(ts))
+    for k, ts in drops.items():
+        unions[k] = iv.difference(unions[k], iv.points(ts))
 
 
 def _attached(u: IntervalUnion, t) -> bool:

@@ -7,9 +7,12 @@ into finite arithmetic.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Union
+
+from .errors import RationalTooLarge
 
 Rat = Fraction
 Ext = Union[Fraction, float]
@@ -64,10 +67,17 @@ def parse_ext(text: str) -> Ext:
 
 
 def fmt_rat(value: Rat) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # the interpreter's limit on integer-to-text digits
+        bits = max(abs(value.numerator), value.denominator).bit_length()
+        digits = int(bits * math.log10(2)) + 1
+        raise RationalTooLarge(
+            f"a result rational has about {digits} decimal digits, more "
+            "than can be written as text") from None
 
 
 def fmt_ext(value: Ext) -> str:
     if not is_finite(value):
         return "inf" if value > 0 else "-inf"
-    return str(value)
+    return fmt_rat(value)

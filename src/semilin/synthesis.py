@@ -78,7 +78,7 @@ def derive_ray(y: IntervalUnion, name: str = "Y") -> Tuple[IntervalUnion, Trace]
     while len(b.value.parts) > 1:
         guard -= 1
         if guard < 0:
-            raise AssertionError("ray peeling failed to make progress")
+            raise IterationCapExceeded("ray peeling failed to make progress")
         cur_ref, cur_val = b.ref, b.value
         b.scale(-1)
         b.intersect(cur_ref, cur_val)
@@ -88,7 +88,8 @@ def derive_ray(y: IntervalUnion, name: str = "Y") -> Tuple[IntervalUnion, Trace]
         b.intersect(n_ref, n_val)
         b.diff_from(cur_ref, cur_val)
     ray = b.value
-    assert len(ray.parts) == 1 and not ray.parts[0].is_bounded
+    if len(ray.parts) != 1 or ray.parts[0].is_bounded:
+        raise IterationCapExceeded("ray peeling did not end in a single ray")
     return ray, b.trace()
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from semilin.intervals import Interval, IntervalUnion, normalize
 from semilin.family import AffineFn, Band, Family, Graph
@@ -168,6 +169,62 @@ def random_family(rng: random.Random, max_cells: int = 3) -> Family:
         else:
             cells.append(Band(dom, random_affine_fn(rng), POS_INF))
     rng.shuffle(cells)
+    return Family(tuple(cells))
+
+
+# few functions and few domain ends, so crossings, domain ends and equal
+# boundaries coincide often
+_TIE_FNS = tuple(AffineFn(s, c) for s in (Fraction(-1), Fraction(0),
+                                          Fraction(1, 2), Fraction(1))
+                 for c in (Fraction(-1), Fraction(0), Fraction(1)))
+_TIE_ENDS = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
+
+
+@st.composite
+def tie_heavy_domains(draw) -> Interval:
+    """Points, bounded intervals, rays and the line on a few shared ends."""
+    end, closed = st.sampled_from(_TIE_ENDS), st.booleans()
+    kind = draw(st.sampled_from(("point", "bounded", "left ray", "right ray",
+                                 "line")))
+    if kind == "point":
+        return Interval.point(draw(end))
+    if kind == "left ray":
+        return Interval(NEG_INF, draw(end), False, draw(closed))
+    if kind == "right ray":
+        return Interval(draw(end), POS_INF, draw(closed), False)
+    if kind == "line":
+        return Interval(NEG_INF, POS_INF)
+    a, b = sorted(draw(st.lists(end, min_size=2, max_size=2, unique=True)))
+    return Interval(a, b, draw(closed), draw(closed))
+
+
+@st.composite
+def tie_heavy_families(draw, max_cells: int = 6) -> Family:
+    """Bands, graphs and unbounded bands whose boundaries come from a small
+    pool of affine functions, over tie_heavy_domains."""
+    fn = st.sampled_from(_TIE_FNS)
+    cells = []
+    for _ in range(draw(st.integers(1, max_cells))):
+        domain = draw(tie_heavy_domains())
+        # bands twice as often as graphs or unbounded bands
+        kind = draw(st.sampled_from(("band", "band", "graph", "ray")))
+        if kind == "graph":
+            cells.append(Graph(domain, draw(fn)))
+        elif kind == "ray":
+            f = draw(fn)
+            cells.append(Band(domain, NEG_INF, f) if draw(st.booleans())
+                         else Band(domain, f, POS_INF))
+        else:
+            lo, hi = draw(fn), draw(fn)
+            flags = draw(st.booleans()), draw(st.booleans())
+            for a, b in ((lo, hi), (hi, lo)):
+                try:
+                    cells.append(Band(domain, a, b, *flags))
+                    break
+                except ValueError:  # the pair crosses inside the domain
+                    continue
+            else:
+                cells.append(Graph(domain, lo))
     return Family(tuple(cells))
 
 

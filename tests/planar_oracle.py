@@ -1,8 +1,10 @@
 """The planar normalizer as it was before it grouped cells by carrier.
 
 Kept as a reference for differential tests: it grows each carrier's
-union one part at a time with ``union``, where ``pc_normalize`` collects
-a carrier's parts and normalizes them once.
+union one part at a time with ``union``, and applies each loose point and
+each crossing update with a sweep of its own, where ``pc_normalize``
+collects a carrier's parts, points and crossing updates and applies each
+kind once per carrier.
 """
 
 from typing import Dict, Iterable, List, Optional

@@ -9,6 +9,7 @@ import site
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from semilin import cli
 from semilin.cli import COMMANDS, main
 from semilin.document import Document, parse_document, serialize_document
 from semilin.family import Family
-from semilin.intervals import IntervalUnion
+from semilin.intervals import Interval, IntervalUnion
 from semilin.planar import PlanarComplex
 from semilin.synthesis import derive_ray
 from semilin.trace import Trace
@@ -113,6 +114,23 @@ def test_exit_code_contract_error(tmp_path):
     code = main(["normalize", "--x", "missing",
                  "-i", str(GOLDEN / "witness.in.json"), "-o", str(out)])
     assert code == 2
+
+
+def test_oversized_rational_is_a_typed_contract_error(tmp_path):
+    """Inputs of 4000 digits are accepted, but their 7999-digit image is
+    past the interpreter's integer-to-text limit: exit 2 with a record
+    tagged by a semilin error type, not a mislabelled ValueError."""
+    big = Fraction(10) ** 3999
+    src = tmp_path / "big.json"
+    src.write_text(serialize_document(Document(
+        {"X": IntervalUnion((Interval(Fraction(0), big),))})))
+    out = tmp_path / "out.json"
+    code = main(["affine", "--x", "X", "--q", str(big), "--a", "0",
+                 "-i", str(src), "-o", str(out)])
+    assert code == 2
+    error = json.loads(out.read_text())["objects"]["error"]
+    assert error["tag"] == "RationalTooLarge"
+    assert "7999 decimal digits" in error["message"]
 
 
 def test_exit_code_usage_error():

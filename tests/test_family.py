@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from semilin.errors import PairingMismatch, PreconditionError, UnboundedFiber
 from semilin.family import (AffineFn, Band, Family, Graph, bounded_params,
@@ -9,7 +11,9 @@ from semilin.family import (AffineFn, Band, Family, Graph, bounded_params,
 from semilin.intervals import Interval, endpoints, metrics, points
 from semilin.rat import NEG_INF, POS_INF, is_finite
 
-from conftest import iu, random_bounded_family, random_family, sup_width
+import family_oracle as oracle
+from conftest import (iu, random_bounded_family, random_family, sup_width,
+                      tie_heavy_families)
 
 F = Fraction
 op = Interval.open
@@ -289,3 +293,80 @@ class TestMatchEndpoints:
             pairs = match_endpoints(fam, t)
             assert pairs == [(p.lo, p.hi) for p in fib.parts]
             checked += 1
+
+
+def crossing_family(rng, m):
+    """Built like the benchmark's family ladder: m bands over [0, 100],
+    band i rising from near height 10i to near 10(i + 1), except the top
+    band, which falls to the bottom and so crosses every other band's
+    boundaries; plus one graph between the bands per eight slots."""
+    def height(slot):
+        return F(10 * slot) + F(rng.randint(0, 8), 8)
+
+    def through(y0, y1):
+        return fn((y1 - y0) / 100, y0)
+
+    def domain():
+        return Interval(F(0), F(100), rng.random() < 0.5, rng.random() < 0.5)
+
+    cells = []
+    for i in range(m):
+        y0, y1 = height(i), height((i + 1) % m)
+        w0, w1 = F(rng.randint(4, 16), 4), F(rng.randint(4, 16), 4)
+        cells.append(Band(domain(), through(y0, y1), through(y0 + w0, y1 + w1),
+                          rng.random() < 0.5, rng.random() < 0.5))
+    for g in range(m // 8):
+        cells.append(Graph(domain(), through(height(8 * g) + 5,
+                                             height((8 * g + 1) % m) + 5)))
+    rng.shuffle(cells)
+    return Family(tuple(cells))
+
+
+def assert_same_as_oracle(fam):
+    assert uniform_length_bound(fam) == oracle.uniform_length_bound(fam)
+    for side in ("left", "right"):
+        try:
+            want = oracle.endpoint_family(fam, side)
+        except UnboundedFiber:
+            with pytest.raises(UnboundedFiber):
+                endpoint_family(fam, side)
+        else:
+            assert endpoint_family(fam, side) == want
+
+
+class TestSweepAgainstPerPieceOracle:
+    """The sweep along t against the per-piece refinement it replaced,
+    which re-merges every cell at each piece (tests/family_oracle.py)."""
+
+    def test_random_families(self, rng):
+        for _ in range(150):
+            assert_same_as_oracle(random_family(rng, 6))
+            assert_same_as_oracle(random_bounded_family(rng, 6))
+
+    @settings(max_examples=400)
+    @given(tie_heavy_families())
+    def test_tie_heavy_families(self, fam):
+        assert_same_as_oracle(fam)
+
+    def test_crossing_family(self):
+        assert_same_as_oracle(crossing_family(random.Random(3), 17))
+
+    def test_work_per_critical_point_is_bounded(self, monkeypatch):
+        """Each critical point re-merges only the few cells it touches, so
+        boundary evaluations per critical point stay under a constant as m
+        doubles; re-merging every cell per piece makes them grow with m."""
+        calls = 0
+        call = AffineFn.__call__
+
+        def counting(self, t):
+            nonlocal calls
+            calls += 1
+            return call(self, t)
+
+        monkeypatch.setattr(AffineFn, "__call__", counting)
+        for m in (17, 34, 68):
+            fam = crossing_family(random.Random(m), m)
+            calls = 0
+            uniform_length_bound(fam)
+            per_critical = calls / len(oracle.criticals(fam))
+            assert per_critical < 40, (m, per_critical)

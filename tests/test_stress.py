@@ -3,6 +3,7 @@ planar normal form and agreement with the normalizer it replaced,
 membership oracles for the planar boolean algebra, decomposition
 fuzzing, and coincidence-rich families."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from semilin.errors import SemilinError
 from semilin.family import AffineFn, Band, Family, Graph, endpoint_family, fiber
 from semilin.intervals import Interval, IntervalUnion, endpoints, points
-from semilin.planar import (Carrier, Point, Seg, VSeg, carrier_of, decompose,
-                            pc_bool_op, pc_normalize)
+from semilin.planar import (VERTICAL, Carrier, Point, Seg, VSeg, carrier_of,
+                            decompose, pc_bool_op, pc_normalize)
 from semilin.rat import NEG_INF, POS_INF, is_finite
 from semilin.synthesis import derive_interval, derive_ray
 from semilin.trace import replay
@@ -81,6 +82,34 @@ def test_grouped_normalize_matches_incremental_oracle(rng):
             assert pc_normalize(cells) == planar_oracle.pc_normalize(cells)
     with pytest.raises(ValueError, match="not a cell"):
         pc_normalize([Point(0, 0), Interval.point(1)])
+
+
+# a carrier's parameters around the crossing at parameter 0: none,
+# covering it, attached from one side (open or closed) or away from it,
+# plus a loose point at the crossing
+_AROUND_ZERO = ["", "(-1,1)", "(-1,0)", "[0,1)", "(2,3)", "(-2,-1) (1,2)", "{0}"]
+
+
+def test_batched_crossing_updates_match_incremental_oracle(rng):
+    """pc_normalize applies each carrier's loose-point and crossing updates
+    in one batch each; the oracle applies them one at a time.  Up to four carriers
+    pass through the origin, each covering it or not and attached to it or
+    not, and two more lines cross them elsewhere, so each carrier gets
+    several updates."""
+    fan = [Carrier(0, 0), Carrier(1, 0), Carrier(-1, 0), Carrier(VERTICAL, 0)]
+    extra = [Carrier(F(1, 2), 1), Carrier(VERTICAL, F(1, 2))]
+
+    def cells_of(carriers, states):
+        return [c for k, s in zip(carriers, states) for c in k.cells(iu(s))]
+
+    for states in itertools.product(_AROUND_ZERO, repeat=3):
+        cells = cells_of(fan, states)
+        assert pc_normalize(cells) == planar_oracle.pc_normalize(cells)
+    for _ in range(200):
+        carriers = fan + extra
+        cells = cells_of(carriers, [rng.choice(_AROUND_ZERO) for _ in carriers])
+        rng.shuffle(cells)
+        assert pc_normalize(cells) == planar_oracle.pc_normalize(cells)
 
 
 def _probes(x, y):

@@ -1,7 +1,12 @@
 from fractions import Fraction
 
+import json
+from pathlib import Path
+
 import pytest
 
+from semilin import synthesis
+from semilin.cli import main
 from semilin.errors import PreconditionError, ReplayError
 from semilin.intervals import (EMPTY, Interval, IntervalUnion, complement,
                                points)
@@ -112,6 +117,25 @@ class TestDeriveRay:
         for y in (iu("(0,1)"), complement(iu("(0,1)")), points([1, 2]), EMPTY):
             with pytest.raises(PreconditionError):
                 derive_ray(y)
+
+    @pytest.mark.parametrize("stuck_value", ["same", "empty"])
+    def test_failed_peeling_is_a_typed_contract_error(self, stuck_value,
+                                                      monkeypatch, tmp_path):
+        """A peeling step that removes nothing trips the progress guard; one
+        that removes everything ends without a ray.  Either way ``main``
+        exits 2 with an error record, not a traceback."""
+        def diff_from(builder, ref, value):
+            builder._emit(synthesis.TraceStep("diff", ref, other=builder.ref),
+                          value if stuck_value == "same" else EMPTY)
+
+        monkeypatch.setattr(synthesis._Builder, "diff_from", diff_from)
+        golden = Path(__file__).parent / "golden" / "ray_island.in.json"
+        out = tmp_path / "out.json"
+        code = main(["derive-ray", "--x", "Y", "-i", str(golden),
+                     "-o", str(out)])
+        assert code == 2
+        error = json.loads(out.read_text())["objects"]["error"]
+        assert error["tag"] == "IterationCapExceeded"
 
     def test_random_soundness(self, rng):
         for _ in range(120):
