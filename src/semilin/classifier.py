@@ -16,9 +16,9 @@ from . import intervals as iv
 from . import planar
 from .errors import SemilinError
 from .intervals import FULL_LINE, IntervalUnion, SetClass, boundedness
-from .planar import (Carrier, PlanarComplex, Slope,VERTICAL, carrier_of,
-                     decompose, pc_bool_op, pc_boundedness, pc_normalize,
-                     pc_section, _group)
+from .planar import (Carrier, Decomposition, PlanarComplex, Point, Slope,
+                     VERTICAL, carrier_of, decompose, pc_normalize, pc_section,
+                     _group)
 from .rat import Rat
 from .synthesis import derive_ray
 from .trace import Trace, TraceStep, compose, replay
@@ -96,19 +96,25 @@ def is_affine_combo(x: Value) -> Optional[LinForm]:
 def sb_certificate(x: Value) -> Optional[Value]:
     """A baseline A (a boolean combination of full affine lines) with
     x symdiff A bounded, or None when no such baseline exists."""
+    return _baseline(x)[0]
+
+
+def _baseline(x: Value) -> Tuple[Optional[Value], Optional[Decomposition]]:
+    # sb_certificate, plus the decomposition of a planar x
     if isinstance(x, IntervalUnion):
         kind = boundedness(x).kind
         if kind is SetClass.BOTH_UNBOUNDED:
-            return None
+            return None, None
         if kind is SetClass.DEGENERATE:
             baseline = iv.EMPTY if x.is_empty else iv.FULL
         else:
             baseline = iv.EMPTY if kind is SetClass.BOUNDED else iv.FULL
+        dec = None
         bounded = iv.symmdiff(x, baseline).is_bounded
     else:
         dec = decompose(x)
         if dec.unresolved:
-            return None
+            return None, dec
         cells = []
         for slope, shifts in dec.graphs:
             for d in shifts:
@@ -116,11 +122,16 @@ def sb_certificate(x: Value) -> Optional[Value]:
         for d in dec.verticals:
             cells.append(Carrier(VERTICAL, d).full_line_cell())
         baseline = pc_normalize(cells)
-        bounded = pc_boundedness(pc_bool_op("symmdiff", x, baseline))
+        # off the carrier lines of both sets lie only finitely many points
+        lines = {carrier_of(c) for c in x.cells + baseline.cells
+                 if not isinstance(c, Point)}
+        bounded = all(iv.symmdiff(pc_section(x, k.slope, k.shift),
+                                  pc_section(baseline, k.slope, k.shift)).is_bounded
+                      for k in lines)
     # the only check of this certificate; classify relies on it
     if not bounded:
         raise SemilinError("baseline verification failed")
-    return baseline
+    return baseline, dec
 
 
 @dataclass(frozen=True)
@@ -140,11 +151,11 @@ class Verdict:
     ray: Optional[RayCert] = None
 
 
-def _semi_certificate(name: str, value: Value) -> RayCert:
+def _semi_certificate(name: str, value: Value,
+                      dec: Optional[Decomposition]) -> RayCert:
     if isinstance(value, IntervalUnion):
         ray, trace = derive_ray(value, name=name)
     else:
-        dec = decompose(value)
         carrier = carrier_of(dec.unresolved[0])
         head = Trace((name,),
                      (TraceStep("section", name, slope=carrier.slope,
@@ -175,9 +186,10 @@ def classify(generators: Mapping[str, Value]) -> Verdict:
             if form.evaluate() != value:
                 raise SemilinError(f"normal form for {name!r} failed to re-evaluate")
         return Verdict(Level.LIN, lin_forms=tuple(forms))
-    certs = [(name, sb_certificate(v)) for name, v in items]
-    if all(cert is not None for _, cert in certs):
-        return Verdict(Level.LIN_STAR, baselines=tuple(certs))
-    name, value = next((n, v) for (n, c), (_, v) in zip(certs, items)
-                       if c is None)
-    return Verdict(Level.SEMI, ray=_semi_certificate(name, value))
+    certs = [(name, *_baseline(v)) for name, v in items]
+    if all(cert is not None for _, cert, _ in certs):
+        return Verdict(Level.LIN_STAR,
+                       baselines=tuple((name, cert) for name, cert, _ in certs))
+    name, dec = next((n, d) for n, c, d in certs if c is None)
+    return Verdict(Level.SEMI,
+                   ray=_semi_certificate(name, generators[name], dec))

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import intervals as iv
 from .errors import PreconditionError, SemilinError
-from .intervals import EMPTY, FULL_LINE, Interval, IntervalUnion
+from .intervals import FULL_LINE, Interval, IntervalUnion
 from .rat import Rat, as_rat, fmt_rat, is_finite
 
 
@@ -262,94 +262,62 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
     """Build the canonical form: collinear runs merged, points absorbed
     into carrier lines where possible, crossings split with deterministic
     ownership."""
-    unions, loose = _group(cells)
+    unions, pts = _group(cells)
     keys = sorted(unions, key=Carrier.sort_key)
-    # each decision below reads a carrier's union only at its own point's
-    # parameter, and the others change it only at theirs, so each phase
-    # collects its changes and applies them in one batch per carrier
-    adds: Dict[Carrier, List[Rat]] = {}
-    standalone: List[Point] = []
-    for p in sorted(set(loose), key=lambda q: (q.x, q.y)):
-        covered = False
-        target: Optional[Carrier] = None
-        for k in keys:
-            if not k.line_contains(p):
-                continue
-            if unions[k].contains(k.param_of(p)):
-                covered = True
-                break
-            if target is None:
-                target = k
-        if covered:
-            continue
-        if target is not None:
-            adds.setdefault(target, []).append(target.param_of(p))
-        else:
-            standalone.append(p)
-    _apply(unions, adds, {})
-
-    # a covered crossing point belongs to the least carrier where it
-    # attaches to a run, else the least carrier line through it; this
-    # makes the normal form a function of the point set alone
-    crossings = {}
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            p = _cross(keys[i], keys[j])
+    # every carrier line through each crossing, in keys order: the least
+    # carrier through a crossing meets all the others in its own row
+    through: Dict[Point, List[Carrier]] = {}
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            p = _cross(a, b)
             if p is not None:
-                crossings[(p.x, p.y)] = p
-    adds, drops = {}, {}
-    for _, p in sorted(crossings.items()):
-        through = [k for k in keys if k.line_contains(p)]
-        if not any(unions[k].contains(k.param_of(p)) for k in through):
+                ks = through.setdefault(p, [a])
+                if ks[0] is a:
+                    ks.append(b)
+    loose = set(pts)
+    for p in loose:
+        if p not in through:
+            # off the crossings at most one carrier line passes through p
+            through[p] = [k for k in keys if k.line_contains(p)]
+
+    # a covered point belongs to the least carrier where it attaches to a
+    # run, else the least carrier line through it; this makes the normal
+    # form a function of the point set alone.  A decision reads a union
+    # only at its own point's parameter and through the closure of its
+    # runs, which changes at other parameters leave alone, so the changes
+    # are applied in one batch per carrier.
+    adds: Dict[Carrier, List[Rat]] = {}
+    drops: Dict[Carrier, List[Rat]] = {}
+    standalone: List[Point] = []
+    for p, ks in through.items():
+        if not ks:
+            standalone.append(p)
             continue
-        attached = [k for k in through
-                    if _attached(unions[k], k.param_of(p))]
-        owner = (attached or through)[0]
-        for k in through:
-            t = k.param_of(p)
-            if k == owner:
+        ts = [k.param_of(p) for k in ks]
+        if p not in loose and not any(unions[k].contains(t)
+                                      for k, t in zip(ks, ts)):
+            continue
+        owner = next((k for k, t in zip(ks, ts) if _attached(unions[k], t)),
+                     ks[0])
+        for k, t in zip(ks, ts):
+            if k is owner:
                 adds.setdefault(k, []).append(t)
             elif unions[k].contains(t):
                 drops.setdefault(k, []).append(t)
-    _apply(unions, adds, drops)
-
-    out: List[Cell] = list(standalone)
-    for k in keys:
-        out.extend(k.cells(unions[k]))
-    return PlanarComplex(tuple(sorted(out, key=_cell_key)))
-
-
-def _apply(unions: Dict[Carrier, IntervalUnion], adds: Dict[Carrier, List[Rat]],
-           drops: Dict[Carrier, List[Rat]]) -> None:
-    # one union and one difference per carrier; a carrier never both gains
-    # and loses the same parameter
     for k, ts in adds.items():
         unions[k] = iv.union(unions[k], iv.points(ts))
     for k, ts in drops.items():
         unions[k] = iv.difference(unions[k], iv.points(ts))
 
+    out: List[Cell] = standalone
+    for k in keys:
+        out.extend(k.cells(unions[k]))
+    return PlanarComplex(tuple(sorted(out, key=_cell_key)))
+
 
 def _attached(u: IntervalUnion, t) -> bool:
     # t lies in the closure of a non-degenerate run of u
     return any(p.lo <= t <= p.hi and not p.is_point for p in u.parts)
-
-
-def _line_params(carrier: Carrier, view: _View) -> IntervalUnion:
-    # parameters on the carrier's line covered by the viewed complex
-    u = view.carriers.get(carrier, EMPTY)
-    extra = []
-    for other, u2 in view.carriers.items():
-        if other == carrier:
-            continue
-        p = _cross(carrier, other)
-        if p is not None and u2.contains(other.param_of(p)):
-            extra.append(carrier.param_of(p))
-    for p in view.points:
-        if carrier.line_contains(p):
-            extra.append(carrier.param_of(p))
-    if not extra:
-        return u
-    return iv.union(u, iv.points(extra))
 
 
 def pc_bool_op(kind: str, x: PlanarComplex, y: PlanarComplex) -> PlanarComplex:
@@ -364,10 +332,10 @@ def pc_bool_op(kind: str, x: PlanarComplex, y: PlanarComplex) -> PlanarComplex:
                           pc_bool_op("difference", y, x))
     if kind not in ("intersect", "difference"):
         raise ValueError(f"unknown planar boolean operation {kind!r}")
-    vx, vy = _group(x.cells), _group(y.cells)
+    vx = _group(x.cells)
     cells: List[Cell] = []
     for carrier, u in vx.carriers.items():
-        w = _line_params(carrier, vy)
+        w = pc_section(y, carrier.slope, carrier.shift)
         v = iv.intersect(u, w) if kind == "intersect" else iv.difference(u, w)
         cells.extend(carrier.cells(v))
     for p in vx.points:
@@ -657,15 +625,12 @@ def decompose(x: PlanarComplex) -> Decomposition:
 def _verify_decomposition(x, dec, claimed):
     for slope, shifts in dec.graphs:
         for d in shifts:
-            line = pc_normalize([Carrier(slope, d).full_line_cell()])
-            if not pc_boundedness(pc_bool_op("difference", line, x)):
+            if not iv.complement(pc_section(x, slope, d)).is_bounded:
                 raise SemilinError("decomposition check failed: graph line")
     for d in dec.verticals:
-        line = pc_normalize([Carrier(VERTICAL, d).full_line_cell()])
-        if not pc_boundedness(pc_bool_op("difference", line, x)):
+        if not iv.complement(pc_section(x, VERTICAL, d)).is_bounded:
             raise SemilinError("decomposition check failed: vertical line")
     if not pc_boundedness(dec.residue):
         raise SemilinError("decomposition check failed: residue unbounded")
-    rebuilt = pc_bool_op("union", dec.residue, pc_normalize(claimed))
-    if rebuilt != x:
+    if pc_normalize(dec.residue.cells + tuple(claimed)) != x:
         raise SemilinError("decomposition check failed: not a partition")

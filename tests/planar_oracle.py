@@ -1,21 +1,64 @@
-"""The planar normalizer as it was before it grouped cells by carrier.
+"""Earlier forms of the planar kernel, kept as references for
+differential tests.  The module shares no private helper with
+``semilin.planar``.
 
-Kept as a reference for differential tests: it grows each carrier's
-union one part at a time with ``union``, and applies each loose point and
-each crossing update with a sweep of its own, where ``pc_normalize``
-collects a carrier's parts, points and crossing updates and applies each
-kind once per carrier.
+- ``pc_normalize`` grows each carrier's union one part at a time with
+  ``union``, rescans every carrier at each crossing, and applies each
+  loose point and each crossing update with a sweep of its own, where
+  ``planar.pc_normalize`` finds the carriers through each crossing in one
+  pass over carrier pairs and applies each carrier's changes in one batch.
+- ``line_params`` reads another complex's coverage of a carrier line from
+  its grouped carriers, their crossings with the line and its points,
+  where ``planar.pc_section`` reads it off the cells.
+- ``pc_bool_op`` is the boolean operation built on ``line_params``.
+- ``full_line_minus_is_bounded`` and ``symmdiff_is_bounded`` are the
+  certificate checks as planar operations, where the checks in
+  ``planar._verify_decomposition`` and ``classifier.sb_certificate`` read
+  1-D sections.
 """
 
-from typing import Dict, Iterable, List, Optional
+from fractions import Fraction
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from semilin import intervals as iv
 from semilin.intervals import EMPTY, IntervalUnion
 from semilin.planar import (Carrier, Cell, PlanarComplex, Point, Seg, VSeg,
-                            _attached, _cell_key, _cross, carrier_of)
+                            carrier_of, pc_boundedness)
 
 
-def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
+def _cell_key(c: Cell):
+    if isinstance(c, Point):
+        return (0, c.x, c.y, 0, False, 0, False)
+    if isinstance(c, Seg):
+        part = c.domain
+        head = (1, c.slope, c.intercept)
+    else:
+        part = c.rng
+        head = (2, c.x, Fraction(0))
+    return head + (part.lo, not part.lo_closed, part.hi, part.hi_closed)
+
+
+def _cross(a: Carrier, b: Carrier) -> Optional[Point]:
+    if a.is_vertical and b.is_vertical:
+        return None
+    if a.is_vertical:
+        a, b = b, a
+    if b.is_vertical:
+        x = b.shift
+        return Point(x, a.slope * x + a.shift)
+    if a.slope == b.slope:
+        return None
+    x = (b.shift - a.shift) / (a.slope - b.slope)
+    return Point(x, a.slope * x + a.shift)
+
+
+def _attached(u: IntervalUnion, t) -> bool:
+    # t lies in the closure of a non-degenerate run of u
+    return any(p.lo <= t <= p.hi and not p.is_point for p in u.parts)
+
+
+def _grow(cells: Iterable[Cell]) -> Tuple[Dict[Carrier, IntervalUnion], List[Point]]:
+    # each carrier's union, grown one part at a time, and the points
     unions: Dict[Carrier, IntervalUnion] = {}
     loose: List[Point] = []
     for c in cells:
@@ -27,7 +70,11 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
             unions[k] = iv.union(unions.get(k, EMPTY), iv.IntervalUnion((part,)))
         else:
             raise ValueError(f"not a cell: {c!r}")
+    return unions, loose
 
+
+def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
+    unions, loose = _grow(cells)
     keys = sorted(unions, key=Carrier.sort_key)
     standalone: List[Point] = []
     for p in sorted(set(loose), key=lambda q: (q.x, q.y)):
@@ -76,3 +123,49 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
     for k in keys:
         out.extend(k.cells(unions[k]))
     return PlanarComplex(tuple(sorted(out, key=_cell_key)))
+
+
+def line_params(carrier: Carrier, y: PlanarComplex) -> IntervalUnion:
+    """Parameters on the carrier's line covered by y."""
+    unions, pts = _grow(y.cells)
+    u = unions.get(carrier, EMPTY)
+    extra = []
+    for other, u2 in unions.items():
+        if other == carrier:
+            continue
+        p = _cross(carrier, other)
+        if p is not None and u2.contains(other.param_of(p)):
+            extra.append(carrier.param_of(p))
+    for p in pts:
+        if carrier.line_contains(p):
+            extra.append(carrier.param_of(p))
+    if not extra:
+        return u
+    return iv.union(u, iv.points(extra))
+
+
+def pc_bool_op(kind: str, x: PlanarComplex, y: PlanarComplex) -> PlanarComplex:
+    if kind == "union":
+        return pc_normalize(x.cells + y.cells)
+    if kind == "symmdiff":
+        return pc_bool_op("union", pc_bool_op("difference", x, y),
+                          pc_bool_op("difference", y, x))
+    unions, pts = _grow(x.cells)
+    cells: List[Cell] = []
+    for carrier, u in unions.items():
+        w = line_params(carrier, y)
+        v = iv.intersect(u, w) if kind == "intersect" else iv.difference(u, w)
+        cells.extend(carrier.cells(v))
+    for p in pts:
+        if y.contains(p) == (kind == "intersect"):
+            cells.append(p)
+    return pc_normalize(cells)
+
+
+def full_line_minus_is_bounded(x: PlanarComplex, carrier: Carrier) -> bool:
+    line = pc_normalize([carrier.full_line_cell()])
+    return pc_boundedness(pc_bool_op("difference", line, x))
+
+
+def symmdiff_is_bounded(x: PlanarComplex, y: PlanarComplex) -> bool:
+    return pc_boundedness(pc_bool_op("symmdiff", x, y))

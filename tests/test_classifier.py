@@ -12,7 +12,8 @@ from semilin.intervals import (EMPTY, FULL, FULL_LINE, Interval,
                                IntervalUnion, affine_op,
                                complement, intersect, points, symmdiff,
                                translate, union)
-from semilin.planar import (PlanarComplex, Point, Seg, pc_affine, pc_bool_op,
+from semilin.planar import (PC_EMPTY, Decomposition, PlanarComplex, Point,
+                            Seg, decompose, pc_affine, pc_bool_op,
                             pc_boundedness, pc_normalize)
 from semilin.trace import replay
 
@@ -108,20 +109,23 @@ class TestSbCertificate:
     def test_unbounded_difference_fails_classify(self, planar, monkeypatch):
         """sb_certificate makes the only bounded-difference check, so a
         baseline whose symmetric difference is unbounded stops classify."""
-        line = pc_normalize([Seg(0, 0, FULL_LINE)])
-
-        def unbounded_symmdiff(kind, x, y):
-            return line if kind == "symmdiff" else pc_bool_op(kind, x, y)
-
         gen = (pc_normalize([Seg(0, 0, Interval.closed(0, 1))]) if planar
                else iu("(0,1)"))
         assert classify({"g": gen}).level is Level.LIN_STAR
-        if planar:
-            monkeypatch.setattr(classifier, "pc_bool_op", unbounded_symmdiff)
-        else:
-            monkeypatch.setattr(iv, "symmdiff", lambda x, y: iu("(0,inf)"))
+        monkeypatch.setattr(iv, "symmdiff", lambda x, y: iu("(0,inf)"))
         with pytest.raises(SemilinError, match="baseline"):
             classify({"g": gen})
+
+    @pytest.mark.parametrize("graphs", [(), ((F(0), (F(0),)), (F(1), (F(0),)))],
+                             ids=["missing line", "extra line"])
+    def test_wrong_baseline_is_rejected(self, graphs, monkeypatch):
+        """A baseline that lacks a line of x, or has a line x lacks, differs
+        from x on a whole line."""
+        x = pc_normalize([Seg(0, 0, FULL_LINE)])
+        forged = Decomposition(graphs, (), PC_EMPTY, ())
+        monkeypatch.setattr(classifier, "decompose", lambda _: forged)
+        with pytest.raises(SemilinError, match="baseline verification failed"):
+            sb_certificate(x)
 
 
 class TestClassify:
@@ -153,6 +157,20 @@ class TestClassify:
             for i, (n, v) in enumerate(g2.items()):
                 joined[f"b{i}"] = v
             assert classify(joined).level is max(l1, l2)
+
+    def test_each_planar_generator_is_decomposed_once(self, monkeypatch):
+        seen = []
+
+        def counting(x):
+            seen.append(x)
+            return decompose(x)
+
+        monkeypatch.setattr(classifier, "decompose", counting)
+        for _, gens, level in classifier_corpus():
+            seen.clear()
+            classify(gens)
+            n = sum(isinstance(v, PlanarComplex) for v in gens.values())
+            assert len(seen) == (0 if level is Level.LIN else n)
 
     def test_bounded_generators_never_semi(self, rng):
         for _ in range(60):

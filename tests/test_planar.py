@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from semilin.errors import PreconditionError
+from semilin import planar
+from semilin.errors import PreconditionError, SemilinError
 from semilin.intervals import FULL_LINE, Interval
-from semilin.planar import (Carrier, PlanarComplex, Point, Seg, Subgroup2D,
-                            VERTICAL, VSeg, affine_part, carrier_of,
-                            decompose, germ_equal, pc_affine, pc_bool_op,
-                            pc_boundedness, pc_normalize, pc_project,
-                            pc_section, pc_topo, stab_bd)
+from semilin.planar import (PC_EMPTY, Carrier, Decomposition, PlanarComplex,
+                            Point, Seg, Subgroup2D, VERTICAL, VSeg,
+                            affine_part, carrier_of, decompose, germ_equal,
+                            pc_affine, pc_bool_op, pc_boundedness,
+                            pc_normalize, pc_project, pc_section, pc_topo,
+                            stab_bd)
 from semilin.rat import NEG_INF, POS_INF
 
 from conftest import iu, pc_scale, random_complex, rat
@@ -81,6 +83,29 @@ class TestNormalize:
             Seg(1, 58, Interval(F(11), POS_INF)),
         ])
         assert split == joined
+
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    def test_crossings_are_found_in_one_pass(self, k, monkeypatch):
+        """k full lines in general position: one _cross per carrier pair,
+        and no carrier is rescanned at a crossing."""
+        calls = {"cross": 0, "line_contains": 0}
+        cross, line_contains = planar._cross, Carrier.line_contains
+
+        def counting_cross(a, b):
+            calls["cross"] += 1
+            return cross(a, b)
+
+        def counting_line_contains(carrier, p):
+            calls["line_contains"] += 1
+            return line_contains(carrier, p)
+
+        monkeypatch.setattr(planar, "_cross", counting_cross)
+        monkeypatch.setattr(Carrier, "line_contains", counting_line_contains)
+        # lines i and j meet at (-(i+j), -ij) only
+        got = pc_normalize([Carrier(i, i * i).full_line_cell() for i in range(k)])
+        assert calls == {"cross": k * (k - 1) // 2, "line_contains": 0}
+        # each crossing cuts one line: the greater of the two
+        assert len(got.cells) == k + k * (k - 1) // 2
 
     def test_crossing_point_stays_attached_to_its_run(self):
         x = pc_normalize([Seg(2, 1, Interval(F(5), POS_INF, True, False)),
@@ -350,6 +375,30 @@ class TestDecompose:
             for (s, ds), (_, ds0) in zip(moved.graphs, dec.graphs):
                 assert ds == tuple(d + t[1] - s * t[0] for d in ds0)
             assert moved.verticals == tuple(d + t[0] for d in dec.verticals)
+
+    @pytest.mark.parametrize("message", ["graph line", "vertical line",
+                                         "residue unbounded", "not a partition"])
+    def test_forged_decomposition_is_rejected(self, message):
+        line = full_line(0, 0)
+        x, dec, claimed = {
+            # y = 0 is claimed co-bounded, but x holds only a ray of it
+            "graph line": (
+                pc_normalize([Seg(0, 0, Interval(NEG_INF, F(0)))]),
+                Decomposition(((F(0), (F(0),)),), (), PC_EMPTY, ()), ()),
+            "vertical line": (
+                pc_normalize([VSeg(0, Interval(NEG_INF, F(0)))]),
+                Decomposition((), (F(0),), PC_EMPTY, ()), ()),
+            # the whole line is left in the residue
+            "residue unbounded": (
+                line, Decomposition(((F(0), (F(0),)),), (), line, ()), ()),
+            # the claimed cells miss the origin
+            "not a partition": (
+                line, Decomposition(((F(0), (F(0),)),), (), PC_EMPTY, ()),
+                pc_bool_op("difference", line, pc_normalize([Point(0, 0)])).cells),
+        }[message]
+        with pytest.raises(SemilinError,
+                           match=f"^decomposition check failed: {message}$"):
+            planar._verify_decomposition(x, dec, claimed)
 
     def test_scale_keeps_structure(self):
         base = pc_bool_op("union", full_line(2, 1), square())

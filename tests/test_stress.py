@@ -1,18 +1,20 @@
 """Heavier randomized cross-checks: presentation independence of the
-planar normal form and agreement with the normalizer it replaced,
-membership oracles for the planar boolean algebra, decomposition
-fuzzing, and coincidence-rich families."""
+planar normal form and agreement with the normalizer, line coverage and
+certificate checks it replaced, membership oracles for the planar
+boolean algebra, decomposition fuzzing, and coincidence-rich families."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from semilin import classifier, planar
 from semilin.errors import SemilinError
 from semilin.family import AffineFn, Band, Family, Graph, endpoint_family, fiber
 from semilin.intervals import Interval, IntervalUnion, endpoints, points
-from semilin.planar import (VERTICAL, Carrier, Point, Seg, VSeg, carrier_of,
-                            decompose, pc_bool_op, pc_normalize)
+from semilin.planar import (PC_EMPTY, VERTICAL, Carrier, Decomposition, Point,
+                            Seg, VSeg, carrier_of, decompose, pc_bool_op,
+                            pc_normalize, pc_section)
 from semilin.rat import NEG_INF, POS_INF, is_finite
 from semilin.synthesis import derive_interval, derive_ray
 from semilin.trace import replay
@@ -158,6 +160,80 @@ def test_planar_boolean_membership_oracle(rng):
             assert n.contains(p) == (inx and iny)
             assert d.contains(p) == (inx and not iny)
             assert s.contains(p) == (inx != iny)
+
+
+def _carriers(*xs):
+    return sorted({carrier_of(c) for x in xs for c in x.cells
+                   if not isinstance(c, Point)}, key=Carrier.sort_key)
+
+
+def _forged(lines):
+    """A resolved decomposition claiming the given carrier lines."""
+    graphs = {}
+    for k in lines:
+        if not k.is_vertical:
+            graphs.setdefault(k.slope, []).append(k.shift)
+    return Decomposition(tuple((s, tuple(ds)) for s, ds in sorted(graphs.items())),
+                         tuple(k.shift for k in lines if k.is_vertical),
+                         PC_EMPTY, ())
+
+
+def test_section_and_boolean_operations_match_line_params_oracle(rng):
+    """pc_section reads a complex's coverage of a line off its cells; the
+    oracle reads it from grouped carriers, crossings and points."""
+    for _ in range(150):
+        x, y = random_complex(rng, 4), random_complex(rng, 4)
+        probes = [carrier_of(c) for c in (random_cell(rng) for _ in range(3))
+                  if not isinstance(c, Point)]
+        for k in _carriers(x, y) + probes:
+            assert pc_section(y, k.slope, k.shift) == planar_oracle.line_params(k, y)
+        for kind in ("intersect", "difference", "symmdiff"):
+            assert pc_bool_op(kind, x, y) == planar_oracle.pc_bool_op(kind, x, y)
+
+
+def test_line_check_matches_planar_operation_check(rng):
+    """The decomposition's line check reads a section; the oracle takes
+    the planar difference of the full line and x."""
+    verdicts = set()
+    for _ in range(150):
+        x, y = random_complex(rng, 4), random_complex(rng, 2)
+        for k in _carriers(x, y):
+            bounded = planar_oracle.full_line_minus_is_bounded(x, k)
+            verdicts.add(bounded)
+            if bounded:
+                planar._verify_decomposition(x, _forged([k]), x.cells)
+            else:
+                with pytest.raises(SemilinError, match="(graph|vertical) line"):
+                    planar._verify_decomposition(x, _forged([k]), x.cells)
+    assert verdicts == {False, True}
+
+
+def test_baseline_check_matches_planar_operation_check(rng, monkeypatch):
+    """sb_certificate's check compares sections on the lines of both sets;
+    the oracle takes the planar symmetric difference.  The baselines are
+    the true one, random subsets of x's lines, and these plus lines of
+    another complex."""
+    accepted = rejected = 0
+    for _ in range(150):
+        x, y = random_complex(rng, 4), random_complex(rng, 2)
+        true = decompose(x)
+        lines = [k for k in _carriers(x) if rng.random() < 0.5]
+        choices = [[Carrier(s, d) for s, ds in true.graphs for d in ds] +
+                   [Carrier(VERTICAL, d) for d in true.verticals],
+                   lines, lines + _carriers(y)]
+        for chosen in choices:
+            chosen = list(dict.fromkeys(chosen))
+            forged = _forged(chosen)
+            monkeypatch.setattr(classifier, "decompose", lambda _: forged)
+            baseline = pc_normalize(k.full_line_cell() for k in chosen)
+            if planar_oracle.symmdiff_is_bounded(x, baseline):
+                accepted += 1
+                assert classifier.sb_certificate(x) == baseline
+            else:
+                rejected += 1
+                with pytest.raises(SemilinError, match="baseline verification"):
+                    classifier.sb_certificate(x)
+    assert accepted > 50 and rejected > 50
 
 
 def test_decompose_never_fails_verification(rng):
