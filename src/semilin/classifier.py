@@ -16,9 +16,8 @@ from . import intervals as iv
 from . import planar
 from .errors import SemilinError
 from .intervals import FULL_LINE, IntervalUnion, SetClass, boundedness
-from .planar import (Carrier, Decomposition, PlanarComplex, Point, Slope,
-                     VERTICAL, carrier_of, decompose, pc_normalize, pc_section,
-                     _group)
+from .planar import (Carrier, Decomposition, PlanarComplex, Slope, VERTICAL,
+                     carrier_of, decompose, pc_normalize, pc_section)
 from .rat import Rat
 from .synthesis import derive_ray
 from .trace import Trace, TraceStep, compose, replay
@@ -81,7 +80,7 @@ def is_affine_combo(x: Value) -> Optional[LinForm]:
         if all(p.is_point for p in co.parts):
             return LinForm1D(True, tuple(p.lo for p in co.parts))
         return None
-    view = _group(x.cells)
+    view = x._view
     lines = []
     for carrier in sorted(view.carriers, key=Carrier.sort_key):
         co = iv.complement(view.carriers[carrier])
@@ -123,8 +122,7 @@ def _baseline(x: Value) -> Tuple[Optional[Value], Optional[Decomposition]]:
             cells.append(Carrier(VERTICAL, d).full_line_cell())
         baseline = pc_normalize(cells)
         # off the carrier lines of both sets lie only finitely many points
-        lines = {carrier_of(c) for c in x.cells + baseline.cells
-                 if not isinstance(c, Point)}
+        lines = x._view.carriers.keys() | baseline._view.carriers.keys()
         bounded = all(iv.symmdiff(pc_section(x, k.slope, k.shift),
                                   pc_section(baseline, k.slope, k.shift)).is_bounded
                       for k in lines)

@@ -253,8 +253,6 @@ def _decode_step(obj) -> TraceStep:
     if "offset" in obj:
         kwargs["offset"] = _rat(obj["offset"], "offset")
     if "axis" in obj:
-        if obj["axis"] not in (1, 2):
-            _fail("axis must be 1 or 2")
         kwargs["axis"] = obj["axis"]
     try:
         return TraceStep(obj["op"], _decode_ref(obj["src"]), **kwargs)

@@ -10,14 +10,16 @@ the form, hence equality, depend on the point set alone.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from . import intervals as iv
 from .errors import PreconditionError, SemilinError
 from .intervals import FULL_LINE, Interval, IntervalUnion
-from .rat import Rat, as_rat, fmt_rat, is_finite
+from .rat import Rat, as_rat, fmt_rat
 
 
 class _Vertical:
@@ -146,6 +148,14 @@ class Carrier:
             return (Fraction(0), Fraction(1))
         return (Fraction(1), self.slope)
 
+    def coords(self) -> Tuple[Tuple[Rat, Rat], Tuple[Rat, Rat]]:
+        """The parametrization t -> (q1*t + a1, q2*t + a2) of the line,
+        as ((q1, a1), (q2, a2))."""
+        zero, one = Fraction(0), Fraction(1)
+        if self.is_vertical:
+            return ((zero, self.shift), (one, zero))
+        return ((one, zero), (self.slope, self.shift))
+
     def cells(self, u: IntervalUnion) -> List[Cell]:
         out: List[Cell] = []
         for part in u.parts:
@@ -200,19 +210,17 @@ class PlanarComplex:
     def is_empty(self) -> bool:
         return not self.cells
 
+    @cached_property
+    def _view(self) -> _View:
+        # read-only: every planar operation reads the cells through it
+        return _group(self.cells)
+
     def contains(self, p) -> bool:
         p = _as_point(p)
-        for c in self.cells:
-            if isinstance(c, Point):
-                if c == p:
-                    return True
-            elif isinstance(c, Seg):
-                if p.y == c.slope * p.x + c.intercept and c.domain.contains(p.x):
-                    return True
-            else:
-                if p.x == c.x and c.rng.contains(p.y):
-                    return True
-        return False
+        view = self._view
+        return p in view.points or any(
+            k.line_contains(p) and u.contains(k.param_of(p))
+            for k, u in view.carriers.items())
 
     def __or__(self, other):
         return pc_bool_op("union", self, other)
@@ -316,8 +324,12 @@ def pc_normalize(cells: Iterable[Cell]) -> PlanarComplex:
 
 
 def _attached(u: IntervalUnion, t) -> bool:
-    # t lies in the closure of a non-degenerate run of u
-    return any(p.lo <= t <= p.hi and not p.is_point for p in u.parts)
+    # t lies in the closure of a non-degenerate run of u.  As in
+    # IntervalUnion.contains, only the last part starting at or before t
+    # decides it: in canonical form a run ending at t is either that part
+    # or followed by a run starting at t
+    i = bisect_right(u.parts, t, key=lambda p: p.lo)
+    return i > 0 and t <= u.parts[i - 1].hi and not u.parts[i - 1].is_point
 
 
 def pc_bool_op(kind: str, x: PlanarComplex, y: PlanarComplex) -> PlanarComplex:
@@ -332,7 +344,7 @@ def pc_bool_op(kind: str, x: PlanarComplex, y: PlanarComplex) -> PlanarComplex:
                           pc_bool_op("difference", y, x))
     if kind not in ("intersect", "difference"):
         raise ValueError(f"unknown planar boolean operation {kind!r}")
-    vx = _group(x.cells)
+    vx = x._view
     cells: List[Cell] = []
     for carrier, u in vx.carriers.items():
         w = pc_section(y, carrier.slope, carrier.shift)
@@ -344,44 +356,26 @@ def pc_bool_op(kind: str, x: PlanarComplex, y: PlanarComplex) -> PlanarComplex:
     return pc_normalize(cells)
 
 
-def _affine_interval(p: Interval, q: Rat, a: Rat) -> Interval:
-    if q > 0:
-        return Interval(q * p.lo + a, q * p.hi + a, p.lo_closed, p.hi_closed)
-    return Interval(q * p.hi + a, q * p.lo + a, p.hi_closed, p.lo_closed)
-
-
-def _shift_interval(p: Interval, a: Rat) -> Interval:
-    return Interval(p.lo + a, p.hi + a, p.lo_closed, p.hi_closed)
-
-
-def _swap_cell(c: Cell) -> Cell:
-    if isinstance(c, Point):
-        return Point(c.y, c.x)
-    if isinstance(c, VSeg):
-        return Seg(Fraction(0), c.x, c.rng)
-    if c.slope == 0:
-        return VSeg(c.intercept, c.domain)
-    return Seg(1 / c.slope, -c.intercept / c.slope,
-               _affine_interval(c.domain, c.slope, c.intercept))
-
-
-def _translate_cell(c: Cell, tx: Rat, ty: Rat) -> Cell:
-    if isinstance(c, Point):
-        return Point(c.x + tx, c.y + ty)
-    if isinstance(c, Seg):
-        return Seg(c.slope, c.intercept + ty - c.slope * tx,
-                   _shift_interval(c.domain, tx))
-    return VSeg(c.x + tx, _shift_interval(c.rng, ty))
-
-
 def pc_affine(x: PlanarComplex, translate=(0, 0), swap: bool = False) -> PlanarComplex:
     """Image under an optional coordinate swap followed by a translation."""
     tx, ty = as_rat(translate[0]), as_rat(translate[1])
-    cells = []
-    for c in x.cells:
+    view = x._view
+    cells: List[Cell] = []
+    for p in view.points:
+        px, py = (p.y, p.x) if swap else (p.x, p.y)
+        cells.append(Point(px + tx, py + ty))
+    for k, u in view.carriers.items():
+        (q1, a1), (q2, a2) = k.coords()
         if swap:
-            c = _swap_cell(c)
-        cells.append(_translate_cell(c, tx, ty))
+            (q1, a1), (q2, a2) = (q2, a2), (q1, a1)
+        a1, a2 = a1 + tx, a2 + ty
+        # re-parametrize the image line by its own parameter
+        if q1 == 0:
+            image, q, a = Carrier(VERTICAL, a1), q2, a2
+        else:
+            slope = q2 / q1
+            image, q, a = Carrier(slope, a2 - slope * a1), q1, a1
+        cells.extend(image.cells(iv.affine_op(u, q, a)))
     return pc_normalize(cells)
 
 
@@ -389,22 +383,11 @@ def pc_project(x: PlanarComplex, axis: int) -> IntervalUnion:
     """Exact coordinate projection (axis 1 = first coordinate)."""
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    parts: List[Interval] = []
-    for c in x.cells:
-        if isinstance(c, Point):
-            parts.append(Interval.point(c.x if axis == 1 else c.y))
-        elif isinstance(c, Seg):
-            if axis == 1:
-                parts.append(c.domain)
-            elif c.slope == 0:
-                parts.append(Interval.point(c.intercept))
-            else:
-                parts.append(_affine_interval(c.domain, c.slope, c.intercept))
-        else:
-            if axis == 1:
-                parts.append(Interval.point(c.x))
-            else:
-                parts.append(c.rng)
+    view = x._view
+    parts = [Interval.point(p.x if axis == 1 else p.y) for p in view.points]
+    for k, u in view.carriers.items():
+        q, a = k.coords()[axis - 1]
+        parts.extend(iv.affine_op(u, q, a).parts if q else [Interval.point(a)])
     return iv.normalize(parts)
 
 
@@ -418,14 +401,10 @@ def pc_topo(x: PlanarComplex, kind: str) -> PlanarComplex:
     dimension <= 1 set in the plane is empty."""
     if kind not in ("closure", "frontier"):
         raise ValueError(f"unknown planar topological operator {kind!r}")
-    cells: List[Cell] = []
-    for c in x.cells:
-        if isinstance(c, Point):
-            cells.append(c)
-        elif isinstance(c, Seg):
-            cells.append(Seg(c.slope, c.intercept, c.domain.closure()))
-        else:
-            cells.append(VSeg(c.x, c.rng.closure()))
+    view = x._view
+    cells: List[Cell] = list(view.points)
+    for k, u in view.carriers.items():
+        cells.extend(k.cells(iv.topo_op(u, "closure")))
     return pc_normalize(cells)
 
 
@@ -435,36 +414,15 @@ def pc_section(x: PlanarComplex, slope: Slope, offset) -> IntervalUnion:
     For finite slope: {t : (t, slope*t + offset) in x}; for VERTICAL,
     offset is the abscissa and the section is {t : (offset, t) in x}.
     """
-    slope = as_slope(slope)
-    offset = as_rat(offset)
-    parts: List[Interval] = []
-    for c in x.cells:
-        if slope is VERTICAL:
-            if isinstance(c, Point):
-                if c.x == offset:
-                    parts.append(Interval.point(c.y))
-            elif isinstance(c, Seg):
-                if c.domain.contains(offset):
-                    parts.append(Interval.point(c.slope * offset + c.intercept))
-            elif c.x == offset:
-                parts.append(c.rng)
-        else:
-            if isinstance(c, Point):
-                if c.y == slope * c.x + offset:
-                    parts.append(Interval.point(c.x))
-            elif isinstance(c, Seg):
-                if c.slope == slope:
-                    if c.intercept == offset:
-                        parts.append(c.domain)
-                else:
-                    t = (offset - c.intercept) / (c.slope - slope)
-                    if c.domain.contains(t):
-                        parts.append(Interval.point(t))
-            else:
-                yval = slope * c.x + offset
-                if c.rng.contains(yval):
-                    parts.append(Interval.point(c.x))
-    return iv.normalize(parts)
+    line = Carrier(slope, offset)
+    view = x._view
+    ts = [line.param_of(p) for p in view.points if line.line_contains(p)]
+    for k, u in view.carriers.items():
+        p = _cross(line, k)  # None on a parallel line and on the line itself
+        if p is not None and u.contains(k.param_of(p)):
+            ts.append(line.param_of(p))
+    own = view.carriers.get(line, iv.EMPTY)
+    return iv.union(own, iv.points(ts)) if ts else own
 
 
 def _arms_at(view: _View, p: Point) -> frozenset:
@@ -483,17 +441,12 @@ def _arms_at(view: _View, p: Point) -> frozenset:
 
 
 def _junctions(x: PlanarComplex) -> List[Point]:
-    seen = set()
-    for c in x.cells:
-        if isinstance(c, Point):
-            seen.add((c.x, c.y))
-            continue
-        carrier = carrier_of(c)
-        part = c.domain if isinstance(c, Seg) else c.rng
-        for e in (part.lo, part.hi):
-            if is_finite(e):
-                q = carrier.point_at(e)
-                seen.add((q.x, q.y))
+    view = x._view
+    seen = {(p.x, p.y) for p in view.points}
+    for k, u in view.carriers.items():
+        for e in iv.endpoints(u, "left") + iv.endpoints(u, "right"):
+            q = k.point_at(e)
+            seen.add((q.x, q.y))
     return [Point(a, b) for a, b in sorted(seen)]
 
 
@@ -503,7 +456,7 @@ def affine_part(x: PlanarComplex) -> PlanarComplex:
     Cell interiors qualify; junction points qualify only when the local
     star is a single straight line; isolated points qualify vacuously.
     """
-    view = _group(x.cells)
+    view = x._view
     bad: List[Cell] = []
     for q in _junctions(x):
         if not x.contains(q):
@@ -526,8 +479,7 @@ def germ_equal(x: PlanarComplex, p, q) -> bool:
     p, q = _as_point(p), _as_point(q)
     if not x.contains(p) or not x.contains(q):
         raise PreconditionError("germ comparison needs points of the set")
-    view = _group(x.cells)
-    return _arms_at(view, p) == _arms_at(view, q)
+    return _arms_at(x._view, p) == _arms_at(x._view, q)
 
 
 @dataclass(frozen=True)
@@ -552,7 +504,7 @@ def stab_bd(x: PlanarComplex) -> Subgroup2D:
     """
     if pc_boundedness(x):
         return Subgroup2D("plane")
-    dirs = {c.slope for c, u in _group(x.cells).carriers.items()
+    dirs = {c.slope for c, u in x._view.carriers.items()
             if not u.is_bounded}
     if len(dirs) == 1:
         return Subgroup2D("line", dirs.pop())
@@ -578,7 +530,7 @@ def decompose(x: PlanarComplex) -> Decomposition:
     minus x bounded, residue bounded, exact partition) are re-checked
     before returning.
     """
-    view = _group(x.cells)
+    view = x._view
     residue_cells: List[Cell] = list(view.points)
     unresolved: List[Cell] = []
     claimed: List[Cell] = []
@@ -603,13 +555,10 @@ def decompose(x: PlanarComplex) -> Decomposition:
                 residue_cells.extend(carrier.cells(iv.intersect(u, box)))
                 claimed.extend(carrier.cells(iv.difference(u, box)))
         else:
-            for cell in carrier.cells(u):
-                part = cell.domain if isinstance(cell, Seg) else \
-                    cell.rng if isinstance(cell, VSeg) else None
-                if part is None or part.is_bounded:
-                    residue_cells.append(cell)
-                else:
-                    unresolved.append(cell)
+            residue_cells.extend(carrier.cells(IntervalUnion(
+                tuple(p for p in u.parts if p.is_bounded))))
+            unresolved.extend(carrier.cells(IntervalUnion(
+                tuple(p for p in u.parts if not p.is_bounded))))
     residue = pc_normalize(residue_cells)
     dec = Decomposition(
         tuple((s, tuple(sorted(ds))) for s, ds in sorted(by_slope.items())),

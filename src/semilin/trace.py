@@ -75,7 +75,9 @@ class TraceStep:
             raise ValueError("slope and offset go with section")
         if (self.axis is not None) != (self.op == "project"):
             raise ValueError("axis goes with project")
-        if self.axis is not None and self.axis not in (1, 2):
+        # True == 1 and 1.0 == 1, so test the type before the value
+        if self.axis is not None and (type(self.axis) is not int
+                                      or self.axis not in (1, 2)):
             raise ValueError("axis must be 1 or 2")
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from semilin.intervals import Interval, IntervalUnion, normalize
+from semilin.intervals import Interval, IntervalUnion, affine_op, normalize
 from semilin.family import AffineFn, Band, Family, Graph
 from semilin.planar import (PlanarComplex, Point, Seg, VSeg, VERTICAL,
                             pc_normalize)
@@ -285,16 +285,17 @@ def classifier_corpus():
 
 def pc_scale(x: PlanarComplex, q: Fraction) -> PlanarComplex:
     """Image under the scalar map (u, v) -> (q*u, q*v); test helper."""
-    from semilin.planar import _affine_interval
+    def image(part: Interval) -> Interval:
+        return affine_op(IntervalUnion((part,)), q, 0).parts[0]
+
     cells = []
     for c in x.cells:
         if isinstance(c, Point):
             cells.append(Point(q * c.x, q * c.y))
         elif isinstance(c, Seg):
-            cells.append(Seg(c.slope, q * c.intercept,
-                             _affine_interval(c.domain, q, Fraction(0))))
+            cells.append(Seg(c.slope, q * c.intercept, image(c.domain)))
         else:
-            cells.append(VSeg(q * c.x, _affine_interval(c.rng, q, Fraction(0))))
+            cells.append(VSeg(q * c.x, image(c.rng)))
     return pc_normalize(cells)
 
 

@@ -3,7 +3,8 @@
 Kept as a reference for differential tests: it cuts the parameter axis
 into pieces at every critical point and, for each piece, re-evaluates,
 re-sorts and re-merges every cell at a sample parameter, where
-``family._refine`` re-merges only the components an event touches.
+``family._refine`` re-merges only the components an event touches.  The
+module shares no private helper with ``semilin.family``.
 """
 
 from dataclasses import dataclass
@@ -12,10 +13,37 @@ from typing import Dict, List
 
 from semilin import intervals as iv
 from semilin.errors import UnboundedFiber
-from semilin.family import (AffineFn, Family, Graph, _affine_sup,
-                            _sample_interior, bounded_params, param_domain)
+from semilin.family import AffineFn, Family, Graph, bounded_params, param_domain
 from semilin.intervals import Interval, IntervalUnion
-from semilin.rat import Ext, Rat, is_finite
+from semilin.rat import POS_INF, Ext, Rat, is_finite
+
+
+def _sample_interior(lo: Ext, hi: Ext) -> Rat:
+    lo_fin, hi_fin = is_finite(lo), is_finite(hi)
+    if lo_fin and hi_fin:
+        return (lo + hi) / 2
+    if lo_fin:
+        return lo + 1
+    if hi_fin:
+        return hi - 1
+    return Fraction(0)
+
+
+def _affine_sup(slope: Rat, intercept: Rat, piece: Interval) -> Ext:
+    if piece.is_point:
+        return slope * piece.lo + intercept
+    vals: List[Ext] = []
+    if is_finite(piece.lo):
+        vals.append(slope * piece.lo + intercept)
+    elif slope < 0:
+        return POS_INF
+    if is_finite(piece.hi):
+        vals.append(slope * piece.hi + intercept)
+    elif slope > 0:
+        return POS_INF
+    if slope == 0:
+        vals.append(intercept)
+    return max(vals)
 
 
 def criticals(family: Family) -> List[Rat]:

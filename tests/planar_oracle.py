@@ -8,22 +8,27 @@ differential tests.  The module shares no private helper with
   ``planar.pc_normalize`` finds the carriers through each crossing in one
   pass over carrier pairs and applies each carrier's changes in one batch.
 - ``line_params`` reads another complex's coverage of a carrier line from
-  its grouped carriers, their crossings with the line and its points,
-  where ``planar.pc_section`` reads it off the cells.
+  its carriers, grown one part at a time, their crossings with the line
+  and its points.
 - ``pc_bool_op`` is the boolean operation built on ``line_params``.
 - ``full_line_minus_is_bounded`` and ``symmdiff_is_bounded`` are the
   certificate checks as planar operations, where the checks in
   ``planar._verify_decomposition`` and ``classifier.sb_certificate`` read
   1-D sections.
+- ``contains``, ``pc_section``, ``pc_project``, ``pc_topo`` and
+  ``pc_affine`` work one cell at a time and branch on its kind, where
+  ``planar`` reads each carrier's parameter set and the points from one
+  grouping of the cells.
 """
 
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from semilin import intervals as iv
-from semilin.intervals import EMPTY, IntervalUnion
-from semilin.planar import (Carrier, Cell, PlanarComplex, Point, Seg, VSeg,
-                            carrier_of, pc_boundedness)
+from semilin.intervals import EMPTY, Interval, IntervalUnion
+from semilin.planar import (VERTICAL, Carrier, Cell, PlanarComplex, Point, Seg,
+                            Slope, VSeg, as_slope, carrier_of)
+from semilin.rat import Rat, as_rat
 
 
 def _cell_key(c: Cell):
@@ -157,9 +162,136 @@ def pc_bool_op(kind: str, x: PlanarComplex, y: PlanarComplex) -> PlanarComplex:
         v = iv.intersect(u, w) if kind == "intersect" else iv.difference(u, w)
         cells.extend(carrier.cells(v))
     for p in pts:
-        if y.contains(p) == (kind == "intersect"):
+        if contains(y, p) == (kind == "intersect"):
             cells.append(p)
     return pc_normalize(cells)
+
+
+def contains(x: PlanarComplex, p: Point) -> bool:
+    for c in x.cells:
+        if isinstance(c, Point):
+            if c == p:
+                return True
+        elif isinstance(c, Seg):
+            if p.y == c.slope * p.x + c.intercept and c.domain.contains(p.x):
+                return True
+        else:
+            if p.x == c.x and c.rng.contains(p.y):
+                return True
+    return False
+
+
+def _affine_interval(p: Interval, q: Rat, a: Rat) -> Interval:
+    if q > 0:
+        return Interval(q * p.lo + a, q * p.hi + a, p.lo_closed, p.hi_closed)
+    return Interval(q * p.hi + a, q * p.lo + a, p.hi_closed, p.lo_closed)
+
+
+def _shift_interval(p: Interval, a: Rat) -> Interval:
+    return Interval(p.lo + a, p.hi + a, p.lo_closed, p.hi_closed)
+
+
+def _swap_cell(c: Cell) -> Cell:
+    if isinstance(c, Point):
+        return Point(c.y, c.x)
+    if isinstance(c, VSeg):
+        return Seg(Fraction(0), c.x, c.rng)
+    if c.slope == 0:
+        return VSeg(c.intercept, c.domain)
+    return Seg(1 / c.slope, -c.intercept / c.slope,
+               _affine_interval(c.domain, c.slope, c.intercept))
+
+
+def _translate_cell(c: Cell, tx: Rat, ty: Rat) -> Cell:
+    if isinstance(c, Point):
+        return Point(c.x + tx, c.y + ty)
+    if isinstance(c, Seg):
+        return Seg(c.slope, c.intercept + ty - c.slope * tx,
+                   _shift_interval(c.domain, tx))
+    return VSeg(c.x + tx, _shift_interval(c.rng, ty))
+
+
+def pc_affine(x: PlanarComplex, translate=(0, 0), swap: bool = False) -> PlanarComplex:
+    tx, ty = as_rat(translate[0]), as_rat(translate[1])
+    cells = []
+    for c in x.cells:
+        if swap:
+            c = _swap_cell(c)
+        cells.append(_translate_cell(c, tx, ty))
+    return pc_normalize(cells)
+
+
+def pc_project(x: PlanarComplex, axis: int) -> IntervalUnion:
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+    parts: List[Interval] = []
+    for c in x.cells:
+        if isinstance(c, Point):
+            parts.append(Interval.point(c.x if axis == 1 else c.y))
+        elif isinstance(c, Seg):
+            if axis == 1:
+                parts.append(c.domain)
+            elif c.slope == 0:
+                parts.append(Interval.point(c.intercept))
+            else:
+                parts.append(_affine_interval(c.domain, c.slope, c.intercept))
+        else:
+            if axis == 1:
+                parts.append(Interval.point(c.x))
+            else:
+                parts.append(c.rng)
+    return iv.normalize(parts)
+
+
+def pc_boundedness(x: PlanarComplex) -> bool:
+    return pc_project(x, 1).is_bounded and pc_project(x, 2).is_bounded
+
+
+def pc_topo(x: PlanarComplex, kind: str) -> PlanarComplex:
+    if kind not in ("closure", "frontier"):
+        raise ValueError(f"unknown planar topological operator {kind!r}")
+    cells: List[Cell] = []
+    for c in x.cells:
+        if isinstance(c, Point):
+            cells.append(c)
+        elif isinstance(c, Seg):
+            cells.append(Seg(c.slope, c.intercept, c.domain.closure()))
+        else:
+            cells.append(VSeg(c.x, c.rng.closure()))
+    return pc_normalize(cells)
+
+
+def pc_section(x: PlanarComplex, slope: Slope, offset) -> IntervalUnion:
+    slope = as_slope(slope)
+    offset = as_rat(offset)
+    parts: List[Interval] = []
+    for c in x.cells:
+        if slope is VERTICAL:
+            if isinstance(c, Point):
+                if c.x == offset:
+                    parts.append(Interval.point(c.y))
+            elif isinstance(c, Seg):
+                if c.domain.contains(offset):
+                    parts.append(Interval.point(c.slope * offset + c.intercept))
+            elif c.x == offset:
+                parts.append(c.rng)
+        else:
+            if isinstance(c, Point):
+                if c.y == slope * c.x + offset:
+                    parts.append(Interval.point(c.x))
+            elif isinstance(c, Seg):
+                if c.slope == slope:
+                    if c.intercept == offset:
+                        parts.append(c.domain)
+                else:
+                    t = (offset - c.intercept) / (c.slope - slope)
+                    if c.domain.contains(t):
+                        parts.append(Interval.point(t))
+            else:
+                yval = slope * c.x + offset
+                if c.rng.contains(yval):
+                    parts.append(Interval.point(c.x))
+    return iv.normalize(parts)
 
 
 def full_line_minus_is_bounded(x: PlanarComplex, carrier: Carrier) -> bool:

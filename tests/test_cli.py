@@ -22,9 +22,9 @@ from semilin.cli import COMMANDS, main
 from semilin.document import Document, parse_document, serialize_document
 from semilin.family import Family
 from semilin.intervals import Interval, IntervalUnion
-from semilin.planar import PlanarComplex
+from semilin.planar import PlanarComplex, Point, pc_normalize
 from semilin.synthesis import derive_ray
-from semilin.trace import Trace
+from semilin.trace import Trace, TraceStep
 
 from conftest import iu, random_complex, random_family, random_union
 
@@ -99,6 +99,23 @@ def test_exit_code_parse_error(tmp_path):
     out = tmp_path / "out.json"
     code = main(["normalize", "--x", "X", "-i", str(bad), "-o", str(out)])
     assert code == 1
+    record = json.loads(out.read_text())
+    assert record["objects"]["error"]["tag"] == "malformed-document"
+
+
+@pytest.mark.parametrize("axis", [True, 1.0], ids=["true", "1.0"])
+def test_trace_axis_must_be_an_integer(axis, tmp_path):
+    """True == 1 and 1.0 == 1, yet neither is an axis."""
+    doc = json.loads(serialize_document(Document({
+        "P": pc_normalize([Point(1, 2)]),
+        "tr": Trace(("P",), (TraceStep("project", "P", axis=1),), 0)})))
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    argv = ["replay", "--trace", "tr", "-i", str(src), "-o", str(out)]
+    src.write_text(json.dumps(doc))
+    assert main(argv) == 0
+    doc["objects"]["tr"]["steps"][0]["axis"] = axis
+    src.write_text(json.dumps(doc))
+    assert main(argv) == 1
     record = json.loads(out.read_text())
     assert record["objects"]["error"]["tag"] == "malformed-document"
 

@@ -1,10 +1,13 @@
 """Heavier randomized cross-checks: presentation independence of the
-planar normal form and agreement with the normalizer, line coverage and
-certificate checks it replaced, membership oracles for the planar
-boolean algebra, decomposition fuzzing, and coincidence-rich families."""
+planar normal form and agreement with the normalizer, line coverage,
+per-cell operations and certificate checks it replaced, membership
+oracles for the planar boolean algebra, decomposition fuzzing, and
+coincidence-rich families."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,14 +16,17 @@ from semilin.errors import SemilinError
 from semilin.family import AffineFn, Band, Family, Graph, endpoint_family, fiber
 from semilin.intervals import Interval, IntervalUnion, endpoints, points
 from semilin.planar import (PC_EMPTY, VERTICAL, Carrier, Decomposition, Point,
-                            Seg, VSeg, carrier_of, decompose, pc_bool_op,
-                            pc_normalize, pc_section)
+                            PlanarComplex, Seg, VSeg, affine_part, carrier_of,
+                            decompose, germ_equal, pc_affine, pc_bool_op,
+                            pc_boundedness, pc_normalize, pc_project,
+                            pc_section, pc_topo, stab_bd)
 from semilin.rat import NEG_INF, POS_INF, is_finite
 from semilin.synthesis import derive_interval, derive_ray
 from semilin.trace import replay
 
 import planar_oracle
-from conftest import iu, random_cell, random_complex, random_domain, rat
+from conftest import (iu, random_cell, random_complex, random_domain, rat,
+                      random_union)
 
 F = Fraction
 
@@ -87,9 +93,16 @@ def test_grouped_normalize_matches_incremental_oracle(rng):
 
 
 # a carrier's parameters around the crossing at parameter 0: none,
-# covering it, attached from one side (open or closed) or away from it,
-# plus a loose point at the crossing
-_AROUND_ZERO = ["", "(-1,1)", "(-1,0)", "[0,1)", "(2,3)", "(-2,-1) (1,2)", "{0}"]
+# covering it, attached from one side (open or closed) or from both
+# sides by adjacent open runs, or away from it, plus a loose point at the
+# crossing
+_AROUND_ZERO = ["", "(-1,1)", "(-1,0)", "[0,1)", "(-1,0) (0,1)", "(2,3)",
+                "(-2,-1) (1,2)", "{0}"]
+_FAN = [Carrier(0, 0), Carrier(1, 0), Carrier(-1, 0), Carrier(VERTICAL, 0)]
+
+
+def _cells_of(carriers, states):
+    return [c for k, s in zip(carriers, states) for c in k.cells(iu(s))]
 
 
 def test_batched_crossing_updates_match_incremental_oracle(rng):
@@ -98,18 +111,13 @@ def test_batched_crossing_updates_match_incremental_oracle(rng):
     pass through the origin, each covering it or not and attached to it or
     not, and two more lines cross them elsewhere, so each carrier gets
     several updates."""
-    fan = [Carrier(0, 0), Carrier(1, 0), Carrier(-1, 0), Carrier(VERTICAL, 0)]
     extra = [Carrier(F(1, 2), 1), Carrier(VERTICAL, F(1, 2))]
-
-    def cells_of(carriers, states):
-        return [c for k, s in zip(carriers, states) for c in k.cells(iu(s))]
-
     for states in itertools.product(_AROUND_ZERO, repeat=3):
-        cells = cells_of(fan, states)
+        cells = _cells_of(_FAN, states)
         assert pc_normalize(cells) == planar_oracle.pc_normalize(cells)
     for _ in range(200):
-        carriers = fan + extra
-        cells = cells_of(carriers, [rng.choice(_AROUND_ZERO) for _ in carriers])
+        carriers = _FAN + extra
+        cells = _cells_of(carriers, [rng.choice(_AROUND_ZERO) for _ in carriers])
         rng.shuffle(cells)
         assert pc_normalize(cells) == planar_oracle.pc_normalize(cells)
 
@@ -189,6 +197,75 @@ def test_section_and_boolean_operations_match_line_params_oracle(rng):
             assert pc_section(y, k.slope, k.shift) == planar_oracle.line_params(k, y)
         for kind in ("intersect", "difference", "symmdiff"):
             assert pc_bool_op(kind, x, y) == planar_oracle.pc_bool_op(kind, x, y)
+
+
+def _view_inputs(rng):
+    """Random complexes; fans whose crossing at the origin is owned by one
+    carrier and cut from the others; and raw, unnormalized cell tuples
+    with a slope-0 carrier and points on their carrier lines."""
+    for _ in range(60):
+        yield random_complex(rng, 4)
+        yield pc_normalize(_cells_of(_FAN, [rng.choice(_AROUND_ZERO)
+                                            for _ in _FAN]))
+        raw = [random_cell(rng) for _ in range(rng.randint(0, 3))]
+        raw += Carrier(0, rat(rng)).cells(random_union(rng, 2))
+        raw += [carrier_of(c).point_at(rat(rng)) for c in raw
+                if not isinstance(c, Point)]
+        yield PlanarComplex(tuple(raw))
+
+
+def _assert_views_intact(*xs):
+    for x in xs:
+        assert x._view == planar._group(x.cells)
+
+
+def test_carrier_view_operations_match_per_cell_oracle(rng):
+    """contains, pc_section, pc_project, pc_topo and pc_affine read each
+    carrier's parameter set and the points from the cached carrier view;
+    the oracle works one cell at a time.  The probe lines include the
+    vertical and horizontal lines through every probe point, and every
+    translation runs with and without the swap, which turns slope-0
+    carriers vertical."""
+    for x in _view_inputs(rng):
+        pts = [Point(a, b) for a, b in _probes(x, x)]
+        lines = list(x._view.carriers) + [Carrier(VERTICAL, rat(rng))]
+        for p in pts:
+            assert x.contains(p) == planar_oracle.contains(x, p)
+            lines += [Carrier(VERTICAL, p.x), Carrier(0, p.y)]
+        for k in lines:
+            assert pc_section(x, k.slope, k.shift) == \
+                planar_oracle.pc_section(x, k.slope, k.shift)
+        for axis in (1, 2):
+            assert pc_project(x, axis) == planar_oracle.pc_project(x, axis)
+        for kind in ("closure", "frontier"):
+            assert pc_topo(x, kind) == planar_oracle.pc_topo(x, kind)
+        for shift in ((0, 0), (rat(rng), rat(rng))):
+            for swap in (False, True):
+                assert pc_affine(x, shift, swap) == \
+                    planar_oracle.pc_affine(x, shift, swap)
+        _assert_views_intact(x)
+
+
+def test_public_planar_operations_leave_cached_views_intact(rng):
+    """Every public planar operation reads its operands' cached views;
+    none may write into one."""
+    for _ in range(60):
+        x, y = random_complex(rng, 4), random_complex(rng, 3)
+        for kind in ("union", "intersect", "difference", "symmdiff"):
+            pc_bool_op(kind, x, y)
+        pc_topo(x, "closure")
+        pc_affine(x, (1, 2), True)
+        affine_part(x)
+        decompose(x)
+        pc_project(y, 2)
+        pc_boundedness(x)
+        stab_bd(x)
+        pc_section(y, VERTICAL, rat(rng))
+        pts = [c for c in x.cells if isinstance(c, Point)]
+        if pts:
+            germ_equal(x, pts[0], pts[-1])
+        classifier.classify({"x": x, "y": y})
+        _assert_views_intact(x, y)
 
 
 def test_line_check_matches_planar_operation_check(rng):
@@ -305,3 +382,18 @@ def test_endpoint_family_with_shared_boundaries(rng):
             for k in range(-18, 19):
                 t = F(k, 3)
                 assert fiber(ef, t) == points(endpoints(fiber(fam, t), side))
+
+
+def test_oracles_import_no_private_semilin_name():
+    """An oracle that imports a private helper of the code it checks
+    shares that helper's faults, so the oracles and the shared helpers
+    import only public names from semilin."""
+    here = Path(__file__).parent
+    files = sorted(here.glob("*_oracle.py")) + [here / "conftest.py"]
+    assert len(files) >= 4
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "semilin":
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module}"
