@@ -245,18 +245,28 @@ def _run(args, doc: Document) -> dict:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _write(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
+    if path == "-":  # a text-only stdin has no byte buffer
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"input is not UTF-8: {exc}") from None
+
+
+def _output(args) -> Tuple[int, str]:
+    """The exit code and the text of the one output document: the result,
+    or an error record."""
+    try:
+        doc = parse_document(_read(args.input))
+        return 0, serialize_document(Document(_run(args, doc)))
+    except DocumentError as exc:
+        code, error = 1, record_error("malformed-document", str(exc))
+    except (SemilinError, ValueError) as exc:
+        code, error = 2, record_error(type(exc).__name__, str(exc))
+    return code, serialize_document(Document({"error": error}))
 
 
 def main(argv=None) -> int:
@@ -265,23 +275,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    out_path = args.output
     try:
-        doc = parse_document(_read(args.input))
-        result = _run(args, doc)
-        _write(out_path, serialize_document(Document(result)))
-        return 0
-    except DocumentError as exc:
-        _write(out_path, serialize_document(
-            Document({"error": record_error("malformed-document", str(exc))})))
-        return 1
-    except OSError as exc:
+        code, text = _output(args)
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as out:
+                out.write(text)
+        return code
+    except OSError as exc:  # an unreadable input or an unwritable output
         sys.stderr.write(f"semilin: {exc}\n")
         return 1
-    except (SemilinError, ValueError) as exc:
-        _write(out_path, serialize_document(
-            Document({"error": record_error(type(exc).__name__, str(exc))})))
-        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from .classifier import LinForm1D, Verdict
 from .family import AffineFn, Band, Family, Graph
 from .intervals import (BoundednessReport, Interval, IntervalUnion,
                         Isolation, Metrics, OneDimClass, normalize)
-from .planar import (Cell, Decomposition, PlanarComplex, Point, Seg,
+from .planar import (Decomposition, PlanarComplex, Point, Seg,
                      Subgroup2D, VERTICAL, VSeg, pc_normalize)
 from .rat import fmt_ext, fmt_rat, is_finite, parse_ext, parse_rat
 from .trace import Trace, TraceStep
@@ -49,79 +49,142 @@ def _expect_keys(obj: Mapping, required, optional=frozenset(), what="object"):
         _fail(f"{what} has unknown fields {sorted(extra)}")
 
 
-def _rat(text, what="rational"):
+def _rat(text, what):
     try:
         return parse_rat(text)
     except (ValueError, TypeError) as exc:
         _fail(f"bad {what}: {exc}")
 
 
-def _ext(text, what="endpoint"):
-    if not isinstance(text, str):
-        _fail(f"bad {what}: {text!r}")
+def _ext(text, what):
     try:
         return parse_ext(text)
     except ValueError as exc:
         _fail(f"bad {what}: {exc}")
 
 
-def _flag(value, what="flag"):
+def _flag(value, what):
     if not isinstance(value, bool):
         _fail(f"{what} must be a boolean")
     return value
 
 
-# ---------------------------------------------------------------- encoding
-
-def encode_interval(p: Interval) -> dict:
-    return {"lo": fmt_ext(p.lo), "hi": fmt_ext(p.hi),
-            "lo_closed": p.lo_closed, "hi_closed": p.hi_closed}
+def _same(value, what=None):
+    return value
 
 
-def encode_slope(s) -> str:
-    return "vertical" if s is VERTICAL else fmt_rat(s)
+def _decode_ref(obj, what):
+    if isinstance(obj, str) or (isinstance(obj, int)
+                                and not isinstance(obj, bool)):
+        return obj
+    _fail(f"bad {what}: {obj!r}")
 
 
-def _encode_cell(c: Cell) -> dict:
-    if isinstance(c, Point):
-        return {"kind": "point", "x": fmt_rat(c.x), "y": fmt_rat(c.y)}
-    if isinstance(c, Seg):
-        return {"kind": "seg", "slope": fmt_rat(c.slope),
-                "intercept": fmt_rat(c.intercept),
-                "domain": encode_interval(c.domain)}
-    return {"kind": "vseg", "x": fmt_rat(c.x), "range": encode_interval(c.rng)}
+def _decode_boundary(obj, what):
+    if isinstance(obj, str):
+        value = _ext(obj, what)
+        if is_finite(value):
+            _fail(f"{what} string must be an infinity")
+        return value
+    return _decode(AffineFn, obj, what)
 
 
-def _encode_boundary(b) -> Any:
-    if isinstance(b, AffineFn):
-        return {"slope": fmt_rat(b.slope), "intercept": fmt_rat(b.intercept)}
-    return fmt_ext(b)
+def _list(obj, key: str) -> list:
+    if not isinstance(obj[key], list):
+        _fail(f"{key} must be a list")
+    return obj[key]
 
 
-def _encode_fiber_cell(c) -> dict:
-    if isinstance(c, Graph):
-        return {"kind": "graph", "domain": encode_interval(c.domain),
-                "value": _encode_boundary(c.value)}
-    return {"kind": "band", "domain": encode_interval(c.domain),
-            "lower": _encode_boundary(c.lower),
-            "upper": _encode_boundary(c.upper),
-            "lower_closed": c.lower_closed, "upper_closed": c.upper_closed}
+# ---------------------------------------------------------------- shapes
+
+class _Codec(NamedTuple):
+    """How one field is written to JSON and read back."""
+
+    encode: Callable  # value -> JSON value
+    decode: Callable  # (JSON value, what) -> value
 
 
-def _encode_step(s: TraceStep) -> dict:
-    out: Dict[str, Any] = {"op": s.op, "src": s.src}
-    if s.other is not None:
-        out["other"] = s.other
-    if s.amount is not None:
-        out["amount"] = fmt_rat(s.amount)
-    if s.factor is not None:
-        out["factor"] = fmt_rat(s.factor)
-    if s.slope is not None:
-        out["slope"] = encode_slope(s.slope)
-        out["offset"] = fmt_rat(s.offset)
-    if s.axis is not None:
-        out["axis"] = s.axis
+class _Shape(NamedTuple):
+    """The JSON object of one value class: its kind tag, if any, its
+    fields as (JSON key, attribute, codec), and its keys."""
+
+    kind: Optional[str]
+    fields: tuple
+    required: frozenset
+    optional: frozenset  # of fields left out when None
+
+
+def _shape(kind, fields: dict, optional: Optional[dict] = None) -> _Shape:
+    """A shape from {JSON key: codec}, or {JSON key: (attribute, codec)}
+    where the attribute has another name."""
+    optional = optional or {}
+    triples = tuple((key, *spec) if isinstance(spec[0], str)
+                    else (key, key, spec)
+                    for key, spec in {**fields, **optional}.items())
+    tag = {"kind"} if kind else set()
+    return _Shape(kind, triples, frozenset(fields) | tag, frozenset(optional))
+
+
+def _encode(value) -> dict:
+    shape = _SHAPES[type(value)]
+    out = {} if shape.kind is None else {"kind": shape.kind}
+    for key, attr, codec in shape.fields:
+        field = getattr(value, attr)
+        if field is not None:  # only optional fields are ever None
+            out[key] = codec.encode(field)
     return out
+
+
+def _decode(cls, obj, what: str):
+    shape = _SHAPES[cls]
+    if not isinstance(obj, dict):
+        _fail(f"{what} must be an object")
+    _expect_keys(obj, shape.required, shape.optional, what)
+    fields = {attr: codec.decode(obj[key], f"{what} {key}")
+              for key, attr, codec in shape.fields if key in obj}
+    try:
+        return cls(**fields)
+    except (ValueError, TypeError) as exc:
+        _fail(f"bad {what}: {exc}")
+
+
+def _decode_kind(classes, obj, what: str):
+    """Decode a value of whichever of classes its kind tag names."""
+    for cls in classes:
+        if isinstance(obj, dict) and obj.get("kind") == _SHAPES[cls].kind:
+            return _decode(cls, obj, f"{obj['kind']} {what}")
+    _fail(f"{what} must be an object with a known kind")
+
+
+_PLAIN = _Codec(_same, _same)
+_RAT = _Codec(fmt_rat, _rat)
+_EXT = _Codec(fmt_ext, _ext)
+_FLAG = _Codec(_same, _flag)
+_SLOPE = _Codec(lambda s: "vertical" if s is VERTICAL else fmt_rat(s),
+                lambda o, what: VERTICAL if o == "vertical" else _rat(o, what))
+_REF = _Codec(_same, _decode_ref)
+_INTERVAL = _Codec(_encode, lambda o, what: _decode(Interval, o, what))
+_BOUNDARY = _Codec(lambda b: _encode(b) if isinstance(b, AffineFn) else fmt_ext(b),
+                   _decode_boundary)
+
+_SHAPES = {
+    Interval: _shape(None, {"lo": _EXT, "hi": _EXT, "lo_closed": _FLAG,
+                            "hi_closed": _FLAG}),
+    AffineFn: _shape(None, {"slope": _RAT, "intercept": _RAT}),
+    Point: _shape("point", {"x": _RAT, "y": _RAT}),
+    Seg: _shape("seg", {"slope": _RAT, "intercept": _RAT, "domain": _INTERVAL}),
+    VSeg: _shape("vseg", {"x": _RAT, "range": ("rng", _INTERVAL)}),
+    Graph: _shape("graph", {"domain": _INTERVAL, "value": _BOUNDARY}),
+    Band: _shape("band", {"domain": _INTERVAL, "lower": _BOUNDARY,
+                          "upper": _BOUNDARY, "lower_closed": _FLAG,
+                          "upper_closed": _FLAG}),
+    # the constructor checks op and axis
+    TraceStep: _shape(None, {"op": _PLAIN, "src": _REF},
+                      {"other": _REF, "amount": _RAT, "factor": _RAT,
+                       "slope": _SLOPE, "offset": _RAT, "axis": _PLAIN}),
+}
+_CELLS = (Point, Seg, VSeg)
+_FIBER_CELLS = (Graph, Band)
 
 
 def _encode_lin_form(form) -> dict:
@@ -129,7 +192,7 @@ def _encode_lin_form(form) -> dict:
         return {"kind": "cofinite" if form.cofinite else "finite",
                 "points": [fmt_rat(p) for p in form.points]}
     return {"kind": "lines_minus_points",
-            "lines": [{"slope": encode_slope(l.slope),
+            "lines": [{"slope": _SLOPE.encode(l.slope),
                        "shift": fmt_rat(l.shift),
                        "removed": [fmt_rat(r) for r in l.removed]}
                       for l in form.lines],
@@ -140,7 +203,7 @@ def _encode_decomposition(d: Decomposition) -> tuple:
     return ([{"slope": fmt_rat(s), "offsets": [fmt_rat(o) for o in ds]}
              for s, ds in d.graphs],
             [fmt_rat(v) for v in d.verticals], encode_value(d.residue),
-            [_encode_cell(c) for c in d.unresolved])
+            [_encode(c) for c in d.unresolved])
 
 
 def _encode_verdict(v: Verdict) -> tuple:
@@ -155,111 +218,6 @@ def _encode_verdict(v: Verdict) -> tuple:
                   "ray": encode_value(v.ray.ray)})
 
 
-# ---------------------------------------------------------------- decoding
-
-def decode_interval(obj, what="interval") -> Interval:
-    if not isinstance(obj, dict):
-        _fail(f"{what} must be an object")
-    _expect_keys(obj, {"lo", "hi", "lo_closed", "hi_closed"}, what=what)
-    try:
-        return Interval(_ext(obj["lo"]), _ext(obj["hi"]),
-                        _flag(obj["lo_closed"]), _flag(obj["hi_closed"]))
-    except ValueError as exc:
-        _fail(f"{what}: {exc}")
-
-
-def _list(obj, key: str) -> list:
-    if not isinstance(obj[key], list):
-        _fail(f"{key} must be a list")
-    return obj[key]
-
-
-def _decode_cell(obj) -> Cell:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        _fail("cell must be an object with a kind")
-    kind = obj["kind"]
-    try:
-        if kind == "point":
-            _expect_keys(obj, {"kind", "x", "y"}, what="point cell")
-            return Point(_rat(obj["x"]), _rat(obj["y"]))
-        if kind == "seg":
-            _expect_keys(obj, {"kind", "slope", "intercept", "domain"},
-                         what="seg cell")
-            return Seg(_rat(obj["slope"]), _rat(obj["intercept"]),
-                       decode_interval(obj["domain"], "seg domain"))
-        if kind == "vseg":
-            _expect_keys(obj, {"kind", "x", "range"}, what="vseg cell")
-            return VSeg(_rat(obj["x"]), decode_interval(obj["range"], "vseg range"))
-    except ValueError as exc:
-        _fail(f"bad cell: {exc}")
-    _fail(f"unknown cell kind {kind!r}")
-
-
-def _decode_boundary(obj, what="boundary"):
-    if isinstance(obj, str):
-        value = _ext(obj, what)
-        if is_finite(value):
-            _fail(f"{what} string must be an infinity")
-        return value
-    if isinstance(obj, dict):
-        _expect_keys(obj, {"slope", "intercept"}, what=what)
-        return AffineFn(_rat(obj["slope"]), _rat(obj["intercept"]))
-    _fail(f"bad {what}: {obj!r}")
-
-
-def _decode_fiber_cell(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        _fail("family cell must be an object with a kind")
-    kind = obj["kind"]
-    try:
-        if kind == "graph":
-            _expect_keys(obj, {"kind", "domain", "value"}, what="graph cell")
-            value = _decode_boundary(obj["value"], "graph value")
-            return Graph(decode_interval(obj["domain"], "graph domain"), value)
-        if kind == "band":
-            _expect_keys(obj, {"kind", "domain", "lower", "upper",
-                               "lower_closed", "upper_closed"}, what="band cell")
-            return Band(decode_interval(obj["domain"], "band domain"),
-                        _decode_boundary(obj["lower"], "band lower"),
-                        _decode_boundary(obj["upper"], "band upper"),
-                        _flag(obj["lower_closed"]), _flag(obj["upper_closed"]))
-    except ValueError as exc:
-        _fail(f"bad family cell: {exc}")
-    _fail(f"unknown family cell kind {kind!r}")
-
-
-def _decode_ref(obj, what="reference"):
-    if isinstance(obj, str) or (isinstance(obj, int)
-                                and not isinstance(obj, bool)):
-        return obj
-    _fail(f"bad {what}: {obj!r}")
-
-
-def _decode_step(obj) -> TraceStep:
-    if not isinstance(obj, dict) or "op" not in obj or "src" not in obj:
-        _fail("trace step must be an object with op and src")
-    allowed = {"op", "src", "other", "amount", "factor", "slope", "offset", "axis"}
-    _expect_keys(obj, {"op", "src"}, optional=allowed, what="trace step")
-    kwargs: Dict[str, Any] = {}
-    if "other" in obj:
-        kwargs["other"] = _decode_ref(obj["other"])
-    if "amount" in obj:
-        kwargs["amount"] = _rat(obj["amount"], "amount")
-    if "factor" in obj:
-        kwargs["factor"] = _rat(obj["factor"], "factor")
-    if "slope" in obj:
-        slope = obj["slope"]
-        kwargs["slope"] = VERTICAL if slope == "vertical" else _rat(slope, "slope")
-    if "offset" in obj:
-        kwargs["offset"] = _rat(obj["offset"], "offset")
-    if "axis" in obj:
-        kwargs["axis"] = obj["axis"]
-    try:
-        return TraceStep(obj["op"], _decode_ref(obj["src"]), **kwargs)
-    except (ValueError, TypeError) as exc:
-        _fail(f"bad trace step: {exc}")
-
-
 def _decode_trace(obj) -> Trace:
     gens = obj["generators"]
     if (not isinstance(gens, list)
@@ -267,7 +225,8 @@ def _decode_trace(obj) -> Trace:
         _fail("generators must be a list of names")
     steps = _list(obj, "steps")
     try:
-        return Trace(tuple(gens), tuple(_decode_step(o) for o in steps),
+        return Trace(tuple(gens),
+                     tuple(_decode(TraceStep, o, "trace step") for o in steps),
                      _decode_ref(obj["output"], "output"))
     except ValueError as exc:
         _fail(f"bad trace: {exc}")
@@ -288,19 +247,19 @@ class _Type(NamedTuple):
 
 _TYPES = [
     _Type("interval_union", IntervalUnion, ("intervals",), (),
-          lambda x: ([encode_interval(p) for p in x.parts],),
-          lambda o: normalize(decode_interval(p)
+          lambda x: ([_encode(p) for p in x.parts],),
+          lambda o: normalize(_decode(Interval, p, "interval")
                               for p in _list(o, "intervals"))),
     _Type("planar_complex", PlanarComplex, ("cells",), (),
-          lambda x: ([_encode_cell(c) for c in x.cells],),
-          lambda o: pc_normalize([_decode_cell(c)
+          lambda x: ([_encode(c) for c in x.cells],),
+          lambda o: pc_normalize([_decode_kind(_CELLS, c, "cell")
                                   for c in _list(o, "cells")])),
     _Type("family", Family, ("cells",), (),
-          lambda f: ([_encode_fiber_cell(c) for c in f.cells],),
-          lambda o: Family(tuple(_decode_fiber_cell(c)
+          lambda f: ([_encode(c) for c in f.cells],),
+          lambda o: Family(tuple(_decode_kind(_FIBER_CELLS, c, "family cell")
                                  for c in _list(o, "cells")))),
     _Type("trace", Trace, ("generators", "steps", "output"), (),
-          lambda t: (list(t.generators), [_encode_step(s) for s in t.steps],
+          lambda t: (list(t.generators), [_encode(s) for s in t.steps],
                      t.output),
           _decode_trace),
     _Type("boundedness_report", BoundednessReport, ("class", "witness"), (),
@@ -311,10 +270,10 @@ _TYPES = [
     _Type("one_dim_class", OneDimClass, ("kind", "side"), (),
           lambda c: (c.kind.value, c.side)),
     _Type("isolation", Isolation, ("shift", "single"), (),
-          lambda i: (fmt_rat(i.shift), encode_interval(i.single))),
+          lambda i: (fmt_rat(i.shift), _encode(i.single))),
     _Type("subgroup", Subgroup2D, ("kind", "direction"), (),
           lambda g: (g.kind, None if g.direction is None
-                     else encode_slope(g.direction))),
+                     else _SLOPE.encode(g.direction))),
     _Type("decomposition", Decomposition,
           ("graphs", "verticals", "residue", "unresolved"), (),
           _encode_decomposition),
@@ -380,7 +339,7 @@ def _no_duplicates(pairs):
 def parse_document(text: str) -> Document:
     try:
         raw = json.loads(text, object_pairs_hook=_no_duplicates)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise DocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("document nested too deeply to parse") from None

@@ -164,6 +164,52 @@ def test_deeply_nested_document_is_a_parse_error(tmp_path):
     assert record["objects"]["error"]["tag"] == "malformed-document"
 
 
+def _malformed(out: Path) -> bool:
+    return (json.loads(out.read_text())["objects"]["error"]["tag"]
+            == "malformed-document")
+
+
+def test_oversize_integer_literal_is_a_parse_error(tmp_path):
+    """The interpreter refuses to read a JSON integer of more than 4300
+    digits; that is a malformed document, not a contract error."""
+    src, out = tmp_path / "big.json", tmp_path / "out.json"
+    src.write_text('{"version": "1", "objects": {}, "n": ' + "1" * 5000 + "}")
+    assert main(["normalize", "--x", "X", "-i", str(src), "-o", str(out)]) == 1
+    assert _malformed(out)
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_bytes(b"\xff\xfe" + (GOLDEN / "witness.in.json").read_bytes())
+    assert main(["normalize", "--x", "X", "-i", str(src), "-o", str(out)]) == 1
+    assert _malformed(out)
+
+
+def test_non_utf8_stdin_is_a_parse_error(tmp_path, monkeypatch):
+    data = (GOLDEN / "witness.in.json").read_bytes().replace(b"X", b"\xc3(")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    out = tmp_path / "out.json"
+    assert main(["normalize", "--x", "X", "-o", str(out)]) == 1
+    assert _malformed(out)
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("{nope", ["normalize", "--x", "X"]),
+    (None, ["normalize", "--x", "missing"]),
+    (None, ["normalize", "--x", "X"]),
+], ids=["malformed", "contract-error", "success"])
+def test_unwritable_output_exits_1_without_a_traceback(text, argv, tmp_path,
+                                                        capsys):
+    src = GOLDEN / "witness.in.json"
+    if text is not None:
+        src = tmp_path / "in.json"
+        src.write_text(text)
+    out = tmp_path / "no" / "such" / "dir" / "out.json"
+    assert main(argv + ["-i", str(src), "-o", str(out)]) == 1
+    assert "semilin:" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 BAD_FLAGS = {
     "affine-q": ["affine", "--x", "X", "--q", "abc", "--a", "0"],
     "affine-a": ["affine", "--x", "X", "--q", "1", "--a", "1/0"],
@@ -288,6 +334,54 @@ def test_every_command_keeps_the_exit_contract(command, data):
             assert objects["error"]["type"] == "error"
         elif code == 0:
             parse_document(out.read_text())
+
+
+# argv tokens: command names, every flag name, junk values and "--"
+ARGV_TOKENS = sorted(
+    {c.name for c in COMMANDS}
+    | {name for c in COMMANDS for names, _, _ in c.flags for name in names}
+    | {"--input", "-i", "--output", "-o", "--version", "--help", "--"}) + [
+    "X", "P", "F", "T", "missing", "-1/2", "1/0", "vertical", "0,0", "",
+    "-", "--nope", "-x", "1" * 5000]
+# bytes spliced into the input: invalid UTF-8 anywhere, or an integer
+# literal past the interpreter's digit limit where a JSON value starts
+BAD_UTF8 = [b"\xff", b"\xff\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80",
+            b"\xf4\x90\x80\x80", b"\xe2\x82"]
+OVERSIZE = b"9" * 4400
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_argv_and_bytes_keep_the_exit_contract(data):
+    """On junk argv, input bytes that are not UTF-8 or hold an oversize
+    integer literal, and an output path under a missing directory, main
+    raises nothing and returns 0 or 1."""
+    command = data.draw(st.sampled_from(COMMANDS))
+    if data.draw(st.booleans()):
+        argv = [command.name]
+        for flag in command.flags:
+            argv += _flag_argv(data.draw, flag)
+    else:
+        argv = data.draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+    raw = data.draw(documents()).encode("utf-8")
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.sampled_from(BAD_UTF8)) + raw[at:]
+    else:
+        starts = [m.end() for m in re.finditer(rb"[:\[] ?", raw)] or [0]
+        at = data.draw(st.sampled_from(starts))
+        raw = raw[:at] + OVERSIZE + raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp, "in.json")
+        inp.write_bytes(raw)
+        out = data.draw(st.sampled_from([Path(tmp, "out.json"),
+                                         Path(tmp, "missing", "out.json")]))
+        code = main(argv + ["-i", str(inp), "-o", str(out)])
+        # no input here is well formed, so no command runs: exit 0 is
+        # --help or --version, and any record written is a parse error
+        assert code in (0, 1), (argv, code)
+        if out.exists():
+            assert _malformed(out), argv
 
 
 @pytest.mark.skipif(importlib.util.find_spec("setuptools") is None,

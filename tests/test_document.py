@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,13 +7,17 @@ import pytest
 
 from semilin.document import (Document, DocumentError, encode_value,
                               parse_document, serialize_document)
-from semilin.intervals import boundedness, isolate_interval, metrics
-from semilin.planar import Point, decompose, pc_normalize, stab_bd
+from semilin.family import AffineFn, Band, Family, Graph
+from semilin.intervals import (Interval, boundedness, isolate_interval,
+                               metrics)
+from semilin.planar import Point, Seg, VSeg, decompose, pc_normalize, stab_bd
+from semilin.rat import NEG_INF
 from semilin.synthesis import derive_ray
 from semilin.classifier import Level, classify
+from semilin.trace import OPS, Trace, TraceStep
 
 from conftest import (classifier_corpus, iu, random_bounded_family,
-                      random_complex, random_union)
+                      random_complex, random_family, random_union)
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,3 +157,67 @@ class TestStrictness:
                                        "steps": [{"op": "section", "src": "Y",
                                                   "slope": "1"}],
                                        "output": 0}}))
+
+
+def _every_op_trace() -> Trace:
+    """A trace that uses each operation of the alphabet, and both kinds of
+    section slope."""
+    S = TraceStep
+    return Trace(("X", "P"), (
+        S("swap", "P"), S("section", "P", slope="vertical", offset=F(1)),
+        S("section", "P", slope=F(1, 2), offset=F(-3)),
+        S("project", "P", axis=2), S("complement", "X"),
+        S("scale", "X", factor=F(-2)), S("translate", "X", amount=F(1, 3)),
+        S("union", 4, other=5), S("intersect", 7, other=6),
+        S("diff", 8, other=1)), 9)
+
+
+def _objects_below(node):
+    """Every JSON object inside node, node included."""
+    if isinstance(node, dict):
+        yield node
+    for child in (node.values() if isinstance(node, dict)
+                  else node if isinstance(node, list) else ()):
+        yield from _objects_below(child)
+
+
+class TestSharedDecoderStrictness:
+    """Every document shape is read as strictly as it is written."""
+
+    def test_every_op_trace_uses_the_whole_alphabet(self):
+        assert {s.op for s in _every_op_trace().steps} == OPS
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_and_every_missing_or_unknown_key(self, seed):
+        rng = random.Random(seed)
+        # each cell kind and each boundary kind, away from the random ones
+        cells = random_complex(rng, 3).cells + (
+            Point(100, 100), Seg(1, 0, Interval.closed(200, 201)),
+            VSeg(300, Interval(NEG_INF, F(1), False, True)))
+        fiber_cells = random_family(rng, 3).cells + (
+            Graph(Interval.closed(-1, 1), AffineFn(2, 3)),
+            Band(Interval.open(5, 6), NEG_INF, AffineFn(0, 1), False, True))
+        doc = Document({"X": random_union(rng, 3), "P": pc_normalize(cells),
+                        "F": Family(fiber_cells), "T": _every_op_trace()})
+        text = serialize_document(doc)
+        back = parse_document(text)
+        assert back.objects == doc.objects
+        assert serialize_document(back) == text
+
+        raw = json.loads(text)
+        count = 0
+        for name in raw["objects"]:
+            mutant = json.loads(text)
+            for obj in _objects_below(mutant["objects"][name]):
+                for key in list(obj):
+                    value = obj.pop(key)
+                    with pytest.raises(DocumentError):
+                        parse_document(json.dumps(mutant))
+                    obj[key] = value
+                    count += 1
+                obj["unknown"] = 1
+                with pytest.raises(DocumentError):
+                    parse_document(json.dumps(mutant))
+                del obj["unknown"]
+                count += 1
+        assert count > 40
