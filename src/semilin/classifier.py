@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Tuple, Union
 from . import intervals as iv
 from . import planar
 from .errors import SemilinError
-from .intervals import FULL_LINE, IntervalUnion, SetClass, boundedness
+from .intervals import FULL_LINE, IntervalUnion
 from .planar import (Carrier, Decomposition, PlanarComplex, Slope, VERTICAL,
                      carrier_of, decompose, pc_normalize, pc_section)
 from .rat import Rat
@@ -101,13 +101,12 @@ def sb_certificate(x: Value) -> Optional[Value]:
 def _baseline(x: Value) -> Tuple[Optional[Value], Optional[Decomposition]]:
     # sb_certificate, plus the decomposition of a planar x
     if isinstance(x, IntervalUnion):
-        kind = boundedness(x).kind
-        if kind is SetClass.BOTH_UNBOUNDED:
-            return None, None
-        if kind is SetClass.DEGENERATE:
-            baseline = iv.EMPTY if x.is_empty else iv.FULL
+        if x.is_bounded:
+            baseline = iv.EMPTY
+        elif iv.complement(x).is_bounded:
+            baseline = iv.FULL
         else:
-            baseline = iv.EMPTY if kind is SetClass.BOUNDED else iv.FULL
+            return None, None
         dec = None
         bounded = iv.symmdiff(x, baseline).is_bounded
     else:

@@ -4,16 +4,24 @@ One self-describing JSON shape serves input and output, so traces and
 derived sets emitted by one run can be fed back into another.
 Serialization is canonical: stable key order, lowest-terms rationals,
 actual newline at the end.
+
+One table, ``_SHAPES``, describes every JSON object the format writes or
+reads: its tag (``"type"`` for document objects, ``"kind"`` for cells),
+its fields with their codecs, and the constructor its decoded fields go
+to.  One ``_encode`` and one ``_decode`` read it.  Four document objects
+are read back as values: ``interval_union``, ``planar_complex``,
+``family`` and ``trace``.  The others are output only; they are read
+back as plain dicts once their keys check out.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Mapping, NamedTuple, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
-from .classifier import LinForm1D, Verdict
+from .classifier import LinForm1D, LinForm2D, LinLine, RayCert, Verdict
 from .family import AffineFn, Band, Family, Graph
 from .intervals import (BoundednessReport, Interval, IntervalUnion,
                         Isolation, Metrics, OneDimClass, normalize)
@@ -32,7 +40,6 @@ class DocumentError(Exception):
 @dataclass
 class Document:
     objects: Dict[str, Any]
-    version: str = VERSION
 
 
 def _fail(msg: str) -> None:
@@ -69,6 +76,12 @@ def _flag(value, what):
     return value
 
 
+def _name(value, what):
+    if not isinstance(value, str):
+        _fail(f"{what} must be a string")
+    return value
+
+
 def _same(value, what=None):
     return value
 
@@ -86,13 +99,7 @@ def _decode_boundary(obj, what):
         if is_finite(value):
             _fail(f"{what} string must be an infinity")
         return value
-    return _decode(AffineFn, obj, what)
-
-
-def _list(obj, key: str) -> list:
-    if not isinstance(obj[key], list):
-        _fail(f"{key} must be a list")
-    return obj[key]
+    return _decode((AffineFn,), obj, what)
 
 
 # ---------------------------------------------------------------- shapes
@@ -101,230 +108,189 @@ class _Codec(NamedTuple):
     """How one field is written to JSON and read back."""
 
     encode: Callable  # value -> JSON value
-    decode: Callable  # (JSON value, what) -> value
+    decode: Optional[Callable] = None  # (JSON value, what) -> value
 
 
 class _Shape(NamedTuple):
-    """The JSON object of one value class: its kind tag, if any, its
-    fields as (JSON key, attribute, codec), and its keys."""
+    """The JSON object of one class: its tag as (key, name), if any, its
+    fields as (JSON key, attribute, codec), its keys, and the constructor
+    its decoded fields go to (None for an output-only object)."""
 
-    kind: Optional[str]
+    tag: Optional[Tuple[str, str]]
     fields: tuple
     required: frozenset
     optional: frozenset  # of fields left out when None
+    make: Optional[Callable]
 
 
-def _shape(kind, fields: dict, optional: Optional[dict] = None) -> _Shape:
+def _shape(tag, fields: dict, optional: Optional[dict] = None,
+           make: Optional[Callable] = None) -> _Shape:
     """A shape from {JSON key: codec}, or {JSON key: (attribute, codec)}
     where the attribute has another name."""
     optional = optional or {}
     triples = tuple((key, *spec) if isinstance(spec[0], str)
                     else (key, key, spec)
                     for key, spec in {**fields, **optional}.items())
-    tag = {"kind"} if kind else set()
-    return _Shape(kind, triples, frozenset(fields) | tag, frozenset(optional))
+    tag_key = {tag[0]} if tag else set()
+    return _Shape(tag, triples, frozenset(fields) | tag_key,
+                  frozenset(optional), make)
 
 
 def _encode(value) -> dict:
     shape = _SHAPES[type(value)]
-    out = {} if shape.kind is None else {"kind": shape.kind}
+    out = {shape.tag[0]: shape.tag[1]} if shape.tag else {}
     for key, attr, codec in shape.fields:
         field = getattr(value, attr)
-        if field is not None:  # only optional fields are ever None
+        if field is not None:
             out[key] = codec.encode(field)
+        elif key not in shape.optional:
+            out[key] = None
     return out
 
 
-def _decode(cls, obj, what: str):
-    shape = _SHAPES[cls]
+def _decode(classes: tuple, obj, what: str):
+    """Decode obj as whichever of classes its tag names; an untagged
+    class comes alone."""
     if not isinstance(obj, dict):
         _fail(f"{what} must be an object")
+    for cls in classes:
+        shape = _SHAPES[cls]
+        if shape.tag is None or obj.get(shape.tag[0]) == shape.tag[1]:
+            break
+    else:
+        key = shape.tag[0]
+        _fail(f"{what} has unknown {key} {obj.get(key)!r}")
+    if shape.tag:
+        what = f"{shape.tag[1]} {what}"
     _expect_keys(obj, shape.required, shape.optional, what)
+    if shape.make is None:
+        return dict(obj)
     fields = {attr: codec.decode(obj[key], f"{what} {key}")
               for key, attr, codec in shape.fields if key in obj}
     try:
-        return cls(**fields)
+        return shape.make(**fields)
     except (ValueError, TypeError) as exc:
         _fail(f"bad {what}: {exc}")
 
 
-def _decode_kind(classes, obj, what: str):
-    """Decode a value of whichever of classes its kind tag names."""
-    for cls in classes:
-        if isinstance(obj, dict) and obj.get("kind") == _SHAPES[cls].kind:
-            return _decode(cls, obj, f"{obj['kind']} {what}")
-    _fail(f"{what} must be an object with a known kind")
+def _value(*classes) -> _Codec:
+    """A JSON object of whichever of classes its tag names."""
+    return _Codec(_encode, lambda obj, what: _decode(classes, obj, what))
+
+
+def _many(codec: _Codec, item: str = "") -> _Codec:
+    """A JSON list of codec's values, read back as a tuple; item names one
+    element in messages."""
+    def decode(obj, what):
+        if not isinstance(obj, list):
+            _fail(f"{what} must be a list")
+        return tuple(codec.decode(o, item or what) for o in obj)
+    return _Codec(lambda values: [codec.encode(v) for v in values], decode)
 
 
 _PLAIN = _Codec(_same, _same)
 _RAT = _Codec(fmt_rat, _rat)
 _EXT = _Codec(fmt_ext, _ext)
-_FLAG = _Codec(_same, _flag)
+_FLAG = _Codec(bool, _flag)
 _SLOPE = _Codec(lambda s: "vertical" if s is VERTICAL else fmt_rat(s),
                 lambda o, what: VERTICAL if o == "vertical" else _rat(o, what))
 _REF = _Codec(_same, _decode_ref)
-_INTERVAL = _Codec(_encode, lambda o, what: _decode(Interval, o, what))
+_RATS = _many(_RAT)
+_RAT_PAIRS = _many(_RATS)
+_ENUM = _Codec(lambda e: e.value)
+_OUT = _Codec(_encode)  # an output-only object
+# (name, value) pairs, written as a mapping
+_NAMED = _Codec(lambda pairs: {name: _encode(v) for name, v in pairs})
+_COFINITE = _Codec(lambda cofinite: "cofinite" if cofinite else "finite")
+_INTERVAL = _value(Interval)
 _BOUNDARY = _Codec(lambda b: _encode(b) if isinstance(b, AffineFn) else fmt_ext(b),
                    _decode_boundary)
 
+# records of plain values: a boolean, rationals, an extended rational,
+# pairs of rationals, and an error (tag, message)
+record_flag = namedtuple("record_flag", "value")
+record_rats = namedtuple("record_rats", "values")
+record_extended = namedtuple("record_extended", "value")
+record_pairs = namedtuple("record_pairs", "pairs")
+record_error = namedtuple("record_error", "tag message")
+
 _SHAPES = {
+    # document objects, read back as values
+    IntervalUnion: _shape(
+        ("type", "interval_union"),
+        {"intervals": ("parts", _many(_INTERVAL, "interval"))},
+        make=lambda parts: normalize(parts)),
+    PlanarComplex: _shape(("type", "planar_complex"),
+                          {"cells": _many(_value(Point, Seg, VSeg), "cell")},
+                          make=lambda cells: pc_normalize(cells)),
+    Family: _shape(("type", "family"),
+                   {"cells": _many(_value(Graph, Band), "family cell")},
+                   make=Family),
+    Trace: _shape(("type", "trace"),
+                  {"generators": _many(_Codec(_same, _name), "generator"),
+                   "steps": _many(_value(TraceStep), "trace step"),
+                   "output": _REF}, make=Trace),
+    # document objects, output only
+    BoundednessReport: _shape(("type", "boundedness_report"),
+                              {"class": ("kind", _ENUM), "witness": _RAT}),
+    Metrics: _shape(("type", "metrics"),
+                    {"max_component_length": _EXT, "diameter": _EXT}),
+    OneDimClass: _shape(("type", "one_dim_class"),
+                        {"kind": _ENUM, "side": _PLAIN}),
+    Isolation: _shape(("type", "isolation"),
+                      {"shift": _RAT, "single": _INTERVAL}),
+    Subgroup2D: _shape(("type", "subgroup"),
+                       {"kind": _PLAIN, "direction": _SLOPE}),
+    Decomposition: _shape(("type", "decomposition"), {
+        "graphs": _Codec(lambda graphs: [
+            {"slope": fmt_rat(s), "offsets": _RATS.encode(ds)}
+            for s, ds in graphs]),
+        "verticals": _RATS, "residue": _OUT, "unresolved": _many(_OUT)}),
+    Verdict: _shape(("type", "verdict"),
+                    {"level": _Codec(lambda level: level.name)},
+                    {"lin_forms": _NAMED, "baselines": _NAMED,
+                     "ray": _OUT}),
+    record_flag: _shape(("type", "flag"), {"value": _FLAG}),
+    record_rats: _shape(("type", "rats"), {"values": _RATS}),
+    record_extended: _shape(("type", "extended"), {"value": _EXT}),
+    record_pairs: _shape(("type", "pairs"), {"pairs": _RAT_PAIRS}),
+    record_error: _shape(("type", "error"),
+                         {"tag": _PLAIN, "message": _PLAIN}),
+    # values only ever nested in a document object
     Interval: _shape(None, {"lo": _EXT, "hi": _EXT, "lo_closed": _FLAG,
-                            "hi_closed": _FLAG}),
-    AffineFn: _shape(None, {"slope": _RAT, "intercept": _RAT}),
-    Point: _shape("point", {"x": _RAT, "y": _RAT}),
-    Seg: _shape("seg", {"slope": _RAT, "intercept": _RAT, "domain": _INTERVAL}),
-    VSeg: _shape("vseg", {"x": _RAT, "range": ("rng", _INTERVAL)}),
-    Graph: _shape("graph", {"domain": _INTERVAL, "value": _BOUNDARY}),
-    Band: _shape("band", {"domain": _INTERVAL, "lower": _BOUNDARY,
-                          "upper": _BOUNDARY, "lower_closed": _FLAG,
-                          "upper_closed": _FLAG}),
+                            "hi_closed": _FLAG}, make=Interval),
+    AffineFn: _shape(None, {"slope": _RAT, "intercept": _RAT}, make=AffineFn),
+    Point: _shape(("kind", "point"), {"x": _RAT, "y": _RAT}, make=Point),
+    Seg: _shape(("kind", "seg"), {"slope": _RAT, "intercept": _RAT,
+                                  "domain": _INTERVAL}, make=Seg),
+    VSeg: _shape(("kind", "vseg"), {"x": _RAT, "range": ("rng", _INTERVAL)},
+                 make=VSeg),
+    Graph: _shape(("kind", "graph"), {"domain": _INTERVAL, "value": _BOUNDARY},
+                  make=Graph),
+    Band: _shape(("kind", "band"), {"domain": _INTERVAL, "lower": _BOUNDARY,
+                                    "upper": _BOUNDARY, "lower_closed": _FLAG,
+                                    "upper_closed": _FLAG}, make=Band),
     # the constructor checks op and axis
     TraceStep: _shape(None, {"op": _PLAIN, "src": _REF},
                       {"other": _REF, "amount": _RAT, "factor": _RAT,
-                       "slope": _SLOPE, "offset": _RAT, "axis": _PLAIN}),
+                       "slope": _SLOPE, "offset": _RAT, "axis": _PLAIN},
+                      make=TraceStep),
+    LinForm1D: _shape(None, {"kind": ("cofinite", _COFINITE),
+                             "points": _RATS}),
+    LinForm2D: _shape(("kind", "lines_minus_points"),
+                      {"lines": _many(_OUT), "points": _RAT_PAIRS}),
+    LinLine: _shape(None, {"slope": _SLOPE, "shift": _RAT, "removed": _RATS}),
+    RayCert: _shape(None, {"generator": _PLAIN, "trace": _OUT, "ray": _OUT}),
 }
-_CELLS = (Point, Seg, VSeg)
-_FIBER_CELLS = (Graph, Band)
-
-
-def _encode_lin_form(form) -> dict:
-    if isinstance(form, LinForm1D):
-        return {"kind": "cofinite" if form.cofinite else "finite",
-                "points": [fmt_rat(p) for p in form.points]}
-    return {"kind": "lines_minus_points",
-            "lines": [{"slope": _SLOPE.encode(l.slope),
-                       "shift": fmt_rat(l.shift),
-                       "removed": [fmt_rat(r) for r in l.removed]}
-                      for l in form.lines],
-            "points": [[fmt_rat(x), fmt_rat(y)] for x, y in form.points]}
-
-
-def _encode_decomposition(d: Decomposition) -> tuple:
-    return ([{"slope": fmt_rat(s), "offsets": [fmt_rat(o) for o in ds]}
-             for s, ds in d.graphs],
-            [fmt_rat(v) for v in d.verticals], encode_value(d.residue),
-            [_encode(c) for c in d.unresolved])
-
-
-def _encode_verdict(v: Verdict) -> tuple:
-    return (v.level.name,
-            None if v.lin_forms is None
-            else {n: _encode_lin_form(f) for n, f in v.lin_forms},
-            None if v.baselines is None
-            else {n: encode_value(a) for n, a in v.baselines},
-            None if v.ray is None
-            else {"generator": v.ray.generator,
-                  "trace": encode_value(v.ray.trace),
-                  "ray": encode_value(v.ray.ray)})
-
-
-def _decode_trace(obj) -> Trace:
-    gens = obj["generators"]
-    if (not isinstance(gens, list)
-            or not all(isinstance(g, str) for g in gens)):
-        _fail("generators must be a list of names")
-    steps = _list(obj, "steps")
-    try:
-        return Trace(tuple(gens),
-                     tuple(_decode(TraceStep, o, "trace step") for o in steps),
-                     _decode_ref(obj["output"], "output"))
-    except ValueError as exc:
-        _fail(f"bad trace: {exc}")
-
-
-# ---------------------------------------------------------------- types
-
-class _Type(NamedTuple):
-    """One object type of the document format."""
-
-    name: str
-    cls: Optional[type]  # None for the records that record_* build
-    keys: Tuple[str, ...]  # required, besides "type"
-    optional: Tuple[str, ...]  # left out when None
-    encode: Callable  # the fields, in the order of keys + optional
-    decode: Optional[Callable] = None  # None: the record stays a dict
-
-
-_TYPES = [
-    _Type("interval_union", IntervalUnion, ("intervals",), (),
-          lambda x: ([_encode(p) for p in x.parts],),
-          lambda o: normalize(_decode(Interval, p, "interval")
-                              for p in _list(o, "intervals"))),
-    _Type("planar_complex", PlanarComplex, ("cells",), (),
-          lambda x: ([_encode(c) for c in x.cells],),
-          lambda o: pc_normalize([_decode_kind(_CELLS, c, "cell")
-                                  for c in _list(o, "cells")])),
-    _Type("family", Family, ("cells",), (),
-          lambda f: ([_encode(c) for c in f.cells],),
-          lambda o: Family(tuple(_decode_kind(_FIBER_CELLS, c, "family cell")
-                                 for c in _list(o, "cells")))),
-    _Type("trace", Trace, ("generators", "steps", "output"), (),
-          lambda t: (list(t.generators), [_encode(s) for s in t.steps],
-                     t.output),
-          _decode_trace),
-    _Type("boundedness_report", BoundednessReport, ("class", "witness"), (),
-          lambda r: (r.kind.value,
-                     None if r.witness is None else fmt_rat(r.witness))),
-    _Type("metrics", Metrics, ("max_component_length", "diameter"), (),
-          lambda m: (fmt_ext(m.max_component_length), fmt_ext(m.diameter))),
-    _Type("one_dim_class", OneDimClass, ("kind", "side"), (),
-          lambda c: (c.kind.value, c.side)),
-    _Type("isolation", Isolation, ("shift", "single"), (),
-          lambda i: (fmt_rat(i.shift), _encode(i.single))),
-    _Type("subgroup", Subgroup2D, ("kind", "direction"), (),
-          lambda g: (g.kind, None if g.direction is None
-                     else _SLOPE.encode(g.direction))),
-    _Type("decomposition", Decomposition,
-          ("graphs", "verticals", "residue", "unresolved"), (),
-          _encode_decomposition),
-    _Type("verdict", Verdict, ("level",), ("lin_forms", "baselines", "ray"),
-          _encode_verdict),
-    _Type("flag", None, ("value",), (), lambda value: (bool(value),)),
-    _Type("rats", None, ("values",), (),
-          lambda values: ([fmt_rat(v) for v in values],)),
-    _Type("extended", None, ("value",), (), lambda value: (fmt_ext(value),)),
-    _Type("pairs", None, ("pairs",), (),
-          lambda pairs: ([[fmt_rat(a), fmt_rat(b)] for a, b in pairs],)),
-    _Type("error", None, ("tag", "message"), (),
-          lambda tag, message: (tag, message)),
-]
-_BY_NAME = {t.name: t for t in _TYPES}
-
-
-def _record(t: _Type, *args) -> dict:
-    out = {"type": t.name}
-    for key, value in zip(t.keys + t.optional, t.encode(*args)):
-        if value is not None or key in t.keys:
-            out[key] = value
-    return out
+# the classes whose objects stand at the top of a document
+_DOCUMENT = tuple(cls for cls, shape in _SHAPES.items()
+                  if shape.tag and shape.tag[0] == "type")
 
 
 def encode_value(value) -> dict:
-    for t in _TYPES:
-        if t.cls is not None and isinstance(value, t.cls):
-            return _record(t, value)
-    raise TypeError(f"cannot encode {type(value).__name__}")
-
-
-def _recorder(name: str) -> Callable[..., dict]:
-    t = _BY_NAME[name]
-    return lambda *args: _record(t, *args)
-
-
-# records of plain values: a boolean, rationals, an extended rational,
-# pairs of rationals, and an error (tag, message)
-record_flag, record_rats, record_extended, record_pairs, record_error = map(
-    _recorder, ("flag", "rats", "extended", "pairs", "error"))
-
-
-def decode_object(obj) -> Any:
-    if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
-        _fail("each object needs a string type field")
-    t = _BY_NAME.get(obj["type"])
-    if t is None:
-        _fail(f"unknown object type {obj['type']!r}")
-    _expect_keys(obj, {"type", *t.keys}, optional=t.optional, what=t.name)
-    return dict(obj) if t.decode is None else t.decode(obj)
+    if type(value) not in _DOCUMENT:
+        raise TypeError(f"cannot encode {type(value).__name__}")
+    return _encode(value)
 
 
 def _no_duplicates(pairs):
@@ -350,13 +316,13 @@ def parse_document(text: str) -> Document:
         raise DocumentError(f"unsupported version {raw['version']!r}")
     if not isinstance(raw["objects"], dict):
         raise DocumentError("objects must be a mapping")
-    objects = {name: decode_object(obj) for name, obj in raw["objects"].items()}
-    return Document(objects)
+    return Document({name: _decode(_DOCUMENT, obj, repr(name))
+                     for name, obj in raw["objects"].items()})
 
 
 def serialize_document(doc: Document) -> str:
     payload = {
-        "version": doc.version,
+        "version": VERSION,
         "objects": {name: obj if isinstance(obj, dict) else encode_value(obj)
                     for name, obj in doc.objects.items()},
     }

@@ -384,7 +384,7 @@ def uniform_length_bound(family: Family) -> Ext:
     return best
 
 
-def match_endpoints(family: Family, t, bound=None) -> List[Tuple[Rat, Rat]]:
+def match_endpoints(family: Family, t) -> List[Tuple[Rat, Rat]]:
     """Pair each left fiber endpoint a with min of the right endpoints in
     [a, a+K], K the uniform length bound; cross-checked against the true
     component list."""
@@ -392,7 +392,7 @@ def match_endpoints(family: Family, t, bound=None) -> List[Tuple[Rat, Rat]]:
     fib = fiber(family, t)
     if not fib.is_bounded:
         raise PreconditionError("match_endpoints needs a bounded fiber")
-    k = as_rat(bound) if bound is not None else uniform_length_bound(family)
+    k = uniform_length_bound(family)
     if not is_finite(k):
         raise PreconditionError("no finite uniform length bound")
     rights = iv.endpoints(fib, "right")

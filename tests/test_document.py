@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 
 from semilin.document import (Document, DocumentError, encode_value,
-                              parse_document, serialize_document)
+                              parse_document, record_error, record_extended,
+                              record_flag, record_pairs, record_rats,
+                              serialize_document)
 from semilin.family import AffineFn, Band, Family, Graph
-from semilin.intervals import (Interval, boundedness, isolate_interval,
-                               metrics)
+from semilin.intervals import (Interval, boundedness, classify_one_dim,
+                               isolate_interval, metrics)
 from semilin.planar import Point, Seg, VSeg, decompose, pc_normalize, stab_bd
-from semilin.rat import NEG_INF
+from semilin.rat import NEG_INF, POS_INF
 from semilin.synthesis import derive_ray
 from semilin.classifier import Level, classify
 from semilin.trace import OPS, Trace, TraceStep
@@ -56,9 +58,24 @@ class TestRoundTrip:
             "s": encode_value(stab_bd(pc_normalize([Point(0, 0)]))),
             "d": encode_value(decompose(pc_normalize([Point(0, 0)]))),
             "v": encode_value(classify({"x": iu("(0,1)")})),
+            # a ray is in no class with a side: a required None is null
+            "c": encode_value(classify_one_dim(iu("(0,inf)"))),
+            "f": encode_value(record_flag(True)),
+            "r": encode_value(record_rats([F(-1, 2), F(3)])),
+            "e": encode_value(record_extended(POS_INF)),
+            "p": encode_value(record_pairs([(F(0), F(1, 2)), (F(2), F(3))])),
+            "err": encode_value(record_error("PreconditionError", "why")),
         })
+        assert doc.objects["c"]["side"] is None
         text = serialize_document(doc)
         assert serialize_document(parse_document(text)) == text
+
+    @pytest.mark.parametrize("value", [
+        Interval.closed(0, 1), Point(0, 0), TraceStep("complement", "X")],
+        ids=["interval", "point", "trace step"])
+    def test_nested_values_are_not_document_objects(self, value):
+        with pytest.raises(TypeError):
+            encode_value(value)
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.out.json")),
                              ids=lambda p: p.name)
