@@ -4,8 +4,8 @@ definability certificates and a reduct classifier."""
 __version__ = "0.1.0"
 
 from .errors import (IterationCapExceeded, NoIsolatingShift, PairingMismatch,
-                     PreconditionError, ReplayError, SemilinError,
-                     UnboundedFiber)
+                     PreconditionError, RationalTooLarge, ReplayError,
+                     SemilinError, UnboundedFiber)
 from .intervals import (EMPTY, FULL, Interval, IntervalUnion, OneDimClass,
                         OneDimKind, SetClass, affine_op, bool_op, boundedness,
                         classify_one_dim, complement, components, difference,

@@ -208,9 +208,12 @@ COMMANDS = [
             [_flag("--all", action="store_true"),
              _flag("--gen", action="append")], _classify),
 ]
+_NAMES = frozenset(command.name for command in COMMANDS)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a command's name, it has only that
+    command's subparser, which parses that command's argv the same way."""
     parser = _Parser(prog="semilin",
                      description="exact semilinear set algebra and reduct "
                                  "classification")
@@ -224,6 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
     for command in COMMANDS:
+        if name not in (None, command.name):
+            continue
         p = sub.add_parser(command.name, parents=[common], help=command.help)
         for names, _, options in command.flags:
             p.add_argument(*names, **options)
@@ -270,9 +275,12 @@ def _output(args) -> Tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only a known command's name builds a one-command parser; --help,
+    # --version and every other first token need all of them
+    known = argv[0] if argv and argv[0] in _NAMES else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(known).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semilin
+import semilin.errors
 from semilin import cli
 from semilin.cli import COMMANDS, main
 from semilin.document import Document, parse_document, serialize_document
@@ -150,6 +152,17 @@ def test_oversized_rational_is_a_typed_contract_error(tmp_path):
     assert "7999 decimal digits" in error["message"]
 
 
+def test_package_exports_every_error_type():
+    """The CLI tags error records with these names; each is importable
+    from the package."""
+    errors = [obj for obj in vars(semilin.errors).values()
+              if isinstance(obj, type) and issubclass(obj, semilin.SemilinError)
+              and obj.__module__ == "semilin.errors"]
+    assert len(errors) > 1
+    for error in errors:
+        assert getattr(semilin, error.__name__) is error
+
+
 def test_exit_code_usage_error():
     assert main(["no-such-command"]) == 1
 
@@ -243,6 +256,110 @@ def test_version_flag(capsys):
 def test_help_flag(capsys):
     assert main(["--help"]) == 0
     assert "classify" in capsys.readouterr().out
+
+
+# a malformed value for each flag type: a command's first typed flag gets it
+BAD_VALUE = {cli._RAT: "abc", cli._SLOPE: "x", cli._POINT: "1", int: "3"}
+
+
+def _screens():
+    """argv whose output is a help, version, usage or error screen (and a
+    bare classify, which runs): the top level and every command."""
+    screens = [["--help"], ["--version"], ["--vers"], [], ["nope"], ["--"]]
+    for command in COMMANDS:
+        screens += [[command.name, "--help"], [command.name, "-h"],
+                    [command.name], [command.name, "--nope"]]
+        typed = [(names[0], options["type"])
+                 for names, _, options in command.flags if "type" in options]
+        if typed:
+            flag, kind = typed[0]
+            screens.append([command.name, flag, BAD_VALUE[kind]])
+    return screens
+
+
+@pytest.mark.parametrize("argv", _screens(), ids=" ".join)
+def test_screens_match_the_full_parser(argv, monkeypatch, capsys):
+    """main builds one subparser for a known command; its exit code,
+    stdout and stderr equal those of the parser with every command."""
+    text = (GOLDEN / "witness.in.json").read_text()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    got = (main(argv),) + tuple(capsys.readouterr())
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 0
+    else:  # a bare classify runs, on stdin
+        code, out = cli._output(args)
+        sys.stdout.write(out)
+    assert got == (code,) + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["normalize", "--x", "X", "-i", str(GOLDEN / "witness.in.json")], 1),
+    (["boolop", "--help"], 1),
+    (["pc-section", "--x", "X"], 1),
+    (["--help"], len(COMMANDS)),
+    (["--version"], len(COMMANDS)),
+    (["nope", "--x", "X"], len(COMMANDS)),
+    ([], len(COMMANDS)),
+], ids=["run", "command-help", "usage-error", "help", "version", "unknown",
+        "empty"])
+def test_main_builds_only_the_invoked_subparser(argv, built, monkeypatch,
+                                                 capsys):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    main(argv)
+    assert len(names) == built == len(set(names))
+
+
+def _fresh(argv):
+    """Run semilin in a new interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "semilin", *argv], env=env,
+                          capture_output=True, text=True,
+                          stdin=subprocess.DEVNULL)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_keeps_no_state_between_commands(tmp_path, capsys):
+    """Commands run one after another through main print what each prints
+    alone in a fresh interpreter."""
+    vset = parse_document((GOLDEN / "vset.in.json").read_text()).objects
+    src = tmp_path / "in.json"
+    src.write_text(serialize_document(Document({
+        "X": iu("(0,3) [5,6]"), "Y": iu("[1,2] {7}"), "P": vset["V"]})))
+    runs = [["boolop", "--kind", "union", "--x", "X", "--y", "Y"],
+            ["pc-germ", "--x", "P", "--p", "0,0", "--q", "1,1"],
+            ["pc-project", "--x", "P", "--axis", "3"],
+            ["classify", "--all"],
+            ["boolop", "--set", "Y", "--kind", "complement"]]
+    for argv in runs:
+        argv += ["-i", str(src)]
+        code = main(argv)
+        assert (code,) + tuple(capsys.readouterr()) == _fresh(argv), argv
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch):
+    """Without an argv, main parses sys.argv, as `python -m semilin` does."""
+    expected = (GOLDEN / "normalize_overlap.out.json").read_bytes()
+    src = str(GOLDEN / "normalize_overlap.in.json")
+    out = tmp_path / "out.json"
+    monkeypatch.setattr("sys.argv", ["semilin", "normalize", "--x", "X",
+                                     "-i", src, "-o", str(out)])
+    assert main() == 0
+    assert out.read_bytes() == expected
+    fresh = tmp_path / "fresh.json"
+    assert _fresh(["normalize", "--x", "X", "-i", src, "-o", str(fresh)]) \
+        == (0, "", "")
+    assert fresh.read_bytes() == expected
 
 
 def test_readme_lists_every_command_in_table_order():
